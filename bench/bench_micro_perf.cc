@@ -2,8 +2,9 @@
  * @file
  * Micro-benchmarks (google-benchmark): throughput of the substrate
  * pieces that bound the tuning pipeline — simulator runs, tree
- * training, model prediction, and GA generations. The paper's Table 3
- * cost argument rests on model queries being ~milliseconds.
+ * training, model prediction, random draws, GA generations, and a
+ * warm search at serving scale. The paper's Table 3 cost argument
+ * rests on model queries being ~milliseconds.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include "conf/generator.h"
 #include "dac/collector.h"
 #include "dac/modeler.h"
+#include "dac/searcher.h"
 #include "ga/ga.h"
 #include "ml/boosting.h"
 #include "ml/flat_ensemble.h"
@@ -243,6 +245,91 @@ BM_GaGeneration(benchmark::State &state)
     }
 }
 BENCHMARK(BM_GaGeneration);
+
+void
+BM_RngUniform(benchmark::State &state)
+{
+    // One engine draw and its canonical conversion: the unit of the
+    // GA's per-gene breeding cost and of the simulator's noise.
+    Rng rng(1);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.uniform());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngUniform);
+
+void
+BM_RngBernoulli(benchmark::State &state)
+{
+    // The GA's per-gene coin (crossover pick, mutation trial).
+    Rng rng(1);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.bernoulli(0.5));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngBernoulli);
+
+/** A compiled HM at the serving stack's tuning scale (m=5 training
+ *  sizes, k=16 runs each, nt=80 first-order trees) and the search's
+ *  training-set seeds, as TuningService::process builds them. */
+struct ServingModel
+{
+    core::ModelReport report;
+    std::unique_ptr<const ml::FlatEnsemble> flat;
+    std::vector<conf::Configuration> seeds;
+    double dsizeBytes = 0.0;
+};
+
+const ServingModel &
+servingModel()
+{
+    static const ServingModel sm = [] {
+        const auto &w = workloads::Registry::instance().byAbbrev("TS");
+        core::Collector collector(simulator(), w);
+        const auto data = collector.collectAtSizes(
+            {25.6, 32.0, 40.0, 50.0, 62.5}, 16, 7);
+        ml::HmParams hm;
+        hm.firstOrder.maxTrees = 80;
+        ServingModel out{core::buildAndValidate(core::ModelKind::HM,
+                                                data.vectors, hm, true,
+                                                5),
+                         nullptr,
+                         {},
+                         w.bytesForSize(40.0)};
+        out.flat = out.report.model->compile();
+        Rng rng(11);
+        for (size_t i = 0; i < 25; ++i) {
+            out.seeds.emplace_back(
+                conf::ConfigSpace::spark(),
+                data.vectors[rng.index(data.vectors.size())].config);
+        }
+        return out;
+    }();
+    return sm;
+}
+
+void
+BM_SearchServingScale(benchmark::State &state)
+{
+    // One warm search as the service runs it: 30 generations of 50
+    // through the compiled model, serial. The layer the stack
+    // benchmark's dac.search_ms measures; items/s counts searches.
+    const ServingModel &sm = servingModel();
+    core::Searcher searcher(*sm.report.model, conf::ConfigSpace::spark(),
+                            true);
+    searcher.setCompiled(sm.flat.get());
+    ga::GaParams params;
+    params.maxGenerations = 30;
+    params.populationSize = 50;
+    params.seed = 3;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            searcher.search(sm.dsizeBytes, params, sm.seeds)
+                .predictedTimeSec);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SearchServingScale)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

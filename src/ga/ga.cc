@@ -74,6 +74,17 @@ runGenerations(const GaParams &params, size_t dimensions,
     result.bestFitness = pop.front().fitness;
     result.history.push_back(result.bestFitness);
 
+    // The next generation is bred into a second population allocated
+    // once per search and swapped in: elites and clones copy-assign
+    // into existing genomes and children are written in place, so
+    // breeding allocates nothing. The draw order (crossover coin,
+    // tournaments, per-gene picks, mutation) is part of the result;
+    // the GaGoldenRun tests pin it.
+    std::vector<Individual> next(
+        params.populationSize,
+        Individual{std::vector<double>(dimensions), 0.0});
+    const size_t firstChild = static_cast<size_t>(params.eliteCount);
+
     int since_improvement = 0;
     for (int gen = 1; gen <= params.maxGenerations; ++gen) {
         // Deadline/cancel check once per generation: cheap, and a
@@ -85,21 +96,19 @@ runGenerations(const GaParams &params, size_t dimensions,
         obs::ScopedSpan genSpan("ga.generation");
         if (genSpan.active())
             genSpan.attr("generation", static_cast<uint64_t>(gen));
-        std::vector<Individual> next;
-        next.reserve(params.populationSize);
-        for (int e = 0; e < params.eliteCount; ++e)
-            next.push_back(pop[static_cast<size_t>(e)]);
+        for (size_t e = 0; e < firstChild; ++e)
+            next[e] = pop[e];
 
         // Breed the full generation first (serial RNG), score after.
-        const size_t firstChild = next.size();
-        while (next.size() < params.populationSize) {
-            std::vector<double> child;
+        for (size_t i = firstChild; i < next.size(); ++i) {
+            std::vector<double> &child = next[i].genome;
             if (rng.bernoulli(params.crossoverRate)) {
-                const auto &a = tournament().genome;
-                const auto &b = tournament().genome;
-                child.resize(dimensions);
-                for (size_t d = 0; d < dimensions; ++d)
-                    child[d] = rng.bernoulli(0.5) ? a[d] : b[d];
+                const double *a = tournament().genome.data();
+                const double *b = tournament().genome.data();
+                for (size_t d = 0; d < dimensions; ++d) {
+                    const double parents[2] = {b[d], a[d]};
+                    child[d] = parents[rng.bernoulli(0.5)];
+                }
             } else {
                 child = tournament().genome;
             }
@@ -114,11 +123,10 @@ runGenerations(const GaParams &params, size_t dimensions,
                     }
                 }
             }
-            next.push_back(Individual{std::move(child), 0.0});
         }
         evaluate(next, firstChild);
 
-        pop = std::move(next);
+        pop.swap(next);
         std::sort(pop.begin(), pop.end(), by_fitness);
 
         result.generations = gen;

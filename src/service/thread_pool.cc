@@ -1,5 +1,6 @@
 #include "service/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <string>
@@ -138,11 +139,21 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &body)
 
     // Idle workers accelerate the loop; the caller alone guarantees
     // completion, so a full queue (or a busy pool) is never a deadlock.
-    const size_t helpers = std::min(threadCount(), n - 1);
-    for (size_t h = 0; h < helpers; ++h) {
-        if (!tryPost(drain))
-            break;
+    // Helpers go only to workers parked right now, less the tasks
+    // already queued for them: a helper posted for a busy worker would
+    // sit in the bounded queue long after its loop had finished.
+    size_t helpers = 0;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (accepting && parked > queue.size()) {
+            helpers = std::min({parked - queue.size(), n - 1,
+                                capacity - queue.size()});
+            for (size_t h = 0; h < helpers; ++h)
+                queue.push_back(drain);
+        }
     }
+    for (size_t h = 0; h < helpers; ++h)
+        taskReady.notify_one();
     drain();
 
     std::unique_lock<std::mutex> lock(state->mutex);
@@ -182,9 +193,11 @@ ThreadPool::workerLoop(size_t index)
         std::function<void()> task;
         {
             std::unique_lock<std::mutex> lock(mutex);
+            ++parked;
             taskReady.wait(lock, [this]() {
                 return !queue.empty() || stopping;
             });
+            --parked;
             // Graceful shutdown: drain the queue before exiting.
             if (queue.empty())
                 return;

@@ -107,6 +107,9 @@ class ThreadPool final : public Executor
     std::deque<std::function<void()>> queue;
     std::vector<std::thread> workers;
     size_t capacity;
+    /** Workers waiting on taskReady; parallelFor sizes its helpers by
+     *  it. Guarded by `mutex`. */
+    size_t parked = 0;
     bool accepting = true;
     bool stopping = false;
 };

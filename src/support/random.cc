@@ -8,6 +8,39 @@
 
 namespace dac {
 
+Rng::Engine::Engine(uint64_t seed)
+{
+    state[0] = seed;
+    for (size_t i = 1; i < kWords; ++i) {
+        const uint64_t prev = state[i - 1];
+        state[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+    }
+}
+
+void
+Rng::Engine::twist()
+{
+    constexpr size_t kShift = 156;
+    constexpr uint64_t kUpper = ~uint64_t{0} << 31;
+    constexpr uint64_t kMatrix = 0xb5026f5aa96619e9ULL;
+    // The matrix term is added when y is odd: 0 - (y & 1) is all ones
+    // exactly then, so the mask replaces the data-dependent branch.
+    auto mix = [](uint64_t word, uint64_t successor, uint64_t far) {
+        const uint64_t y = (word & kUpper) | (successor & ~kUpper);
+        return far ^ (y >> 1) ^ (kMatrix & (0 - (y & 1)));
+    };
+    size_t k = 0;
+    for (; k < kWords - kShift; ++k)
+        state[k] = mix(state[k], state[k + 1], state[k + kShift]);
+    for (; k < kWords - 1; ++k) {
+        state[k] = mix(state[k], state[k + 1],
+                       state[k + kShift - kWords]);
+    }
+    state[kWords - 1] = mix(state[kWords - 1], state[0],
+                            state[kShift - 1]);
+    next = 0;
+}
+
 double
 Rng::uniformReal(double lo, double hi)
 {
@@ -34,13 +67,6 @@ double
 Rng::lognormalFactor(double sigma)
 {
     return std::exp(normal(0.0, sigma));
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    p = std::clamp(p, 0.0, 1.0);
-    return uniform() < p;
 }
 
 size_t

@@ -10,6 +10,8 @@
 #ifndef DAC_SUPPORT_RANDOM_H
 #define DAC_SUPPORT_RANDOM_H
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -19,8 +21,10 @@ namespace dac {
 /**
  * A seeded pseudo-random number generator.
  *
- * Thin wrapper around std::mt19937_64 with the distribution helpers the
- * library needs. Copyable; copies continue the same stream independently.
+ * An MT19937-64 engine (the stream of the standard 64-bit Mersenne
+ * Twister, bit for bit; see Engine) with the distribution helpers the
+ * library needs. Copyable; copies continue the same stream
+ * independently.
  *
  * NOT thread-safe: every draw mutates the engine, so a single Rng must
  * never be shared across threads without external synchronization.
@@ -34,8 +38,26 @@ class Rng
     /** Construct with an explicit seed. */
     explicit Rng(uint64_t seed) : engine(seed), constructionSeed(seed) {}
 
-    /** Uniform real in [0, 1). */
-    double uniform() { return unit(engine); }
+    /** Uniform real in [0, 1): canonical() of one engine draw. */
+    double uniform() { return canonical(engine()); }
+
+    /**
+     * The uniform() value of raw draw x: exactly what
+     * std::generate_canonical<double, 53> makes of x, i.e. double(x)
+     * rounded once, times 2^-64, with a result of 1 pulled down to the
+     * largest double below 1.
+     */
+    static double
+    canonical(uint64_t x)
+    {
+        // Both 32-bit halves convert exactly and their sum rounds once,
+        // so this equals double(x) without the branch an unsigned
+        // 64-bit conversion costs on x86-64.
+        const double hi = static_cast<double>(static_cast<int64_t>(x >> 32));
+        const double lo =
+            static_cast<double>(static_cast<int64_t>(x & 0xffffffffULL));
+        return std::min((hi * 0x1p32 + lo) * 0x1p-64, 0x1.fffffffffffffp-1);
+    }
 
     /** Uniform real in [lo, hi). Requires lo <= hi. */
     double uniformReal(double lo, double hi);
@@ -54,8 +76,13 @@ class Rng
      */
     double lognormalFactor(double sigma);
 
-    /** Bernoulli trial with success probability p (clamped to [0,1]). */
-    bool bernoulli(double p);
+    /** Bernoulli trial with success probability p (clamped to [0,1]);
+     *  always consumes one uniform() draw. */
+    bool
+    bernoulli(double p)
+    {
+        return uniform() < std::clamp(p, 0.0, 1.0);
+    }
 
     /** Uniform index in [0, n). Requires n > 0. */
     size_t index(size_t n);
@@ -98,10 +125,49 @@ class Rng
     uint64_t raw() { return engine(); }
 
   private:
-    std::mt19937_64 engine;
+    /**
+     * MT19937-64 (Matsumoto & Nishimura): the seeding, recurrence and
+     * tempering of std::mt19937_64, so every output equals the
+     * standard engine's for the same seed. The twist selects its
+     * matrix term with a mask rather than a branch on a random bit.
+     * A UniformRandomBitGenerator, so the std distributions draw from
+     * it exactly as they would from std::mt19937_64.
+     */
+    class Engine
+    {
+      public:
+        using result_type = uint64_t;
+
+        explicit Engine(uint64_t seed);
+
+        static constexpr result_type min() { return 0; }
+        static constexpr result_type max() { return ~result_type{0}; }
+
+        result_type
+        operator()()
+        {
+            if (next == kWords)
+                twist();
+            uint64_t z = state[next++];
+            z ^= (z >> 29) & 0x5555555555555555ULL;
+            z ^= (z << 17) & 0x71d67fffeda60000ULL;
+            z ^= (z << 37) & 0xfff7eee000000000ULL;
+            return z ^ (z >> 43);
+        }
+
+      private:
+        static constexpr size_t kWords = 312;
+
+        /** Regenerate all kWords state words; resets `next`. */
+        void twist();
+
+        std::array<uint64_t, kWords> state;
+        size_t next = kWords;
+    };
+
+    Engine engine;
     /** Seed this Rng was built from; splitStream() derives from it. */
     uint64_t constructionSeed;
-    std::uniform_real_distribution<double> unit{0.0, 1.0};
 };
 
 /** SplitMix64 hash step; used for stable seed derivation. */

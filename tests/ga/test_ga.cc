@@ -161,5 +161,99 @@ TEST(Ga, ParallelEvaluationIsBitIdenticalToSerial)
     EXPECT_EQ(serial.convergedAt, parallel.convergedAt);
 }
 
+/**
+ * Values recorded from the GA's draws on the standard 64-bit Mersenne
+ * Twister (hexadecimal literals: exact bits). Both runs minimize
+ * rastriginLike over 6 genes, one without elites, one with every child
+ * bred by crossover; any change to breeding or to the RNG stream
+ * shows up here.
+ */
+struct GaGolden
+{
+    std::vector<double> best;
+    double bestFitness;
+    std::vector<double> history;
+    int generations;
+    int convergedAt;
+};
+
+void
+expectGolden(const GaResult &r, const GaGolden &golden)
+{
+    EXPECT_EQ(r.best, golden.best);
+    EXPECT_EQ(r.bestFitness, golden.bestFitness);
+    EXPECT_EQ(r.history, golden.history);
+    EXPECT_EQ(r.generations, golden.generations);
+    EXPECT_EQ(r.convergedAt, golden.convergedAt);
+}
+
+TEST(GaGoldenRun, NoElites)
+{
+    GaParams p = defaults(101);
+    p.eliteCount = 0;
+    p.maxGenerations = 60;
+    const GaGolden golden{
+        {
+            0x1.7d963886886f1p-2, 0x1.04668a4d2f806p-1, 0x1.04885bb142014p-1,
+            0x1.3f3aaeb460fe1p-1, 0x1.04414ff56eb76p-1, 0x1.fced1450bea64p-2,
+        },
+        0x1.19a6915cfa2fbp+2,
+        {
+            0x1.5dd1942569eb4p+5, 0x1.a5be488871cd5p+4, 0x1.a5be488871cd5p+4,
+            0x1.3de70149ef0bp+4, 0x1.f4d27a0b9607cp+3, 0x1.6ba4705b56e6p+3,
+            0x1.08bbef00a972cp+3, 0x1.b6ad4f1f897bep+2, 0x1.b6ad4f1f897bep+2,
+            0x1.b6ad4f1f897bep+2, 0x1.5aad3a9edcc1ap+2, 0x1.5aad3a9edcc1ap+2,
+            0x1.555c194e93809p+2, 0x1.1ef7b2ad4370cp+2, 0x1.1ef7b2ad4370cp+2,
+            0x1.1ef7b2ad4370cp+2, 0x1.19a6915cfa2fbp+2, 0x1.19a6915cfa2fbp+2,
+            0x1.19a6915cfa2fbp+2, 0x1.19a6915cfa2fbp+2, 0x1.19a6915cfa2fbp+2,
+            0x1.19a6915cfa2fbp+2, 0x1.19a6915cfa2fbp+2, 0x1.19a6915cfa2fbp+2,
+            0x1.19a6915cfa2fbp+2, 0x1.19a6915cfa2fbp+2, 0x1.19a6915cfa2fbp+2,
+            0x1.19a6915cfa2fbp+2, 0x1.19a6915cfa2fbp+2, 0x1.19a6915cfa2fbp+2,
+            0x1.19a6915cfa2fbp+2, 0x1.19a6915cfa2fbp+2,
+        },
+        31,
+        16};
+    expectGolden(GeneticAlgorithm(p).minimize(rastriginLike, 6), golden);
+}
+
+TEST(GaGoldenRun, AlwaysCrossover)
+{
+    GaParams p = defaults(202);
+    p.crossoverRate = 1.0;
+    p.maxGenerations = 60;
+    const GaGolden golden{
+        {
+            0x1.fc0a23b389fa4p-2, 0x1.430c715f5ce1fp-1, 0x1.02b18f0d37661p-1,
+            0x1.7d2881d0b1177p-2, 0x1.8377efcdacf7p-2, 0x1.0034fd6481d59p-1,
+        },
+        0x1.048e44a73ca6dp+2,
+        {
+            0x1.8ecac9e4d8392p+5, 0x1.faafe3b5058a9p+4, 0x1.8bae6711724d2p+4,
+            0x1.d5994050b477ep+3, 0x1.d5994050b477ep+3, 0x1.5ba53ada88078p+3,
+            0x1.40a693e6e9ab2p+3, 0x1.ab8b10247521p+2, 0x1.ab8b10247521p+2,
+            0x1.ab8b10247521p+2, 0x1.ab8b10247521p+2, 0x1.ab8b10247521p+2,
+            0x1.8513990b53cf6p+2, 0x1.8513990b53cf6p+2, 0x1.8513990b53cf6p+2,
+            0x1.8513990b53cf6p+2, 0x1.8513990b53cf6p+2, 0x1.8513990b53cf6p+2,
+            0x1.8513990b53cf6p+2, 0x1.8513990b53cf6p+2, 0x1.8513990b53cf6p+2,
+            0x1.8513990b53cf6p+2, 0x1.8513990b53cf6p+2, 0x1.8513990b53cf6p+2,
+            0x1.8513990b53cf6p+2, 0x1.4ba553d929bf6p+2, 0x1.4ba553d929bf6p+2,
+            0x1.4ba553d929bf6p+2, 0x1.4ba553d929bf6p+2, 0x1.459ab0ced81fbp+2,
+            0x1.459ab0ced81fbp+2, 0x1.459ab0ced81fbp+2, 0x1.459ab0ced81fbp+2,
+            0x1.459ab0ced81fbp+2, 0x1.459ab0ced81fbp+2, 0x1.459ab0ced81fbp+2,
+            0x1.459ab0ced81fbp+2, 0x1.459ab0ced81fbp+2, 0x1.459ab0ced81fbp+2,
+            0x1.459ab0ced81fbp+2, 0x1.459ab0ced81fbp+2, 0x1.459ab0ced81fbp+2,
+            0x1.459ab0ced81fbp+2, 0x1.440e4c5aedd41p+2, 0x1.440e4c5aedd41p+2,
+            0x1.440e4c5aedd41p+2, 0x1.440e4c5aedd41p+2, 0x1.440e4c5aedd41p+2,
+            0x1.440e4c5aedd41p+2, 0x1.440e4c5aedd41p+2, 0x1.440e4c5aedd41p+2,
+            0x1.440e4c5aedd41p+2, 0x1.048e44a73ca6dp+2, 0x1.048e44a73ca6dp+2,
+            0x1.048e44a73ca6dp+2, 0x1.048e44a73ca6dp+2, 0x1.048e44a73ca6dp+2,
+            0x1.048e44a73ca6dp+2, 0x1.048e44a73ca6dp+2, 0x1.048e44a73ca6dp+2,
+            0x1.048e44a73ca6dp+2,
+        },
+        60,
+        52};
+    expectGolden(GeneticAlgorithm(p).minimize(rastriginLike, 6), golden);
+}
+
 } // namespace
 } // namespace dac::ga

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <deque>
 #include <future>
 #include <thread>
 #include <vector>
@@ -150,6 +151,37 @@ TEST(TuningServiceStress, SaturatedQueueRejectsWithDegradedResponse)
 
     EXPECT_FALSE(a.get().degraded);
     EXPECT_FALSE(b.get().degraded);
+}
+
+TEST(TuningServiceStress, InRequestParallelismNeverSaturatesTheQueue)
+{
+    // Two searches in flight keep both workers busy while each runs a
+    // parallelFor per generation step. Loops must not leave helpers in
+    // the queue, so requests kept below queueCapacity are all served.
+    sparksim::SparkSimulator sim(cluster::ClusterSpec::paperTestbed());
+    ServiceOptions opt = stressOptions(2);
+    opt.queueCapacity = 4;
+    opt.parallelWithinRequest = true;
+    TuningService service(sim, opt);
+    // Build the model once; every later request is a cache hit.
+    ASSERT_FALSE(service.submit(request("TS", 40)).get().degraded);
+
+    std::deque<std::future<TuneResponse>> inFlight;
+    size_t saturated = 0;
+    auto collect = [&]() {
+        saturated +=
+            inFlight.front().get().degradedReason == "queue-saturated";
+        inFlight.pop_front();
+    };
+    for (uint64_t seed = 100; seed < 140; ++seed) {
+        inFlight.push_back(service.submit(request("TS", 40, seed)));
+        if (inFlight.size() == 2)
+            collect();
+    }
+    while (!inFlight.empty())
+        collect();
+    EXPECT_EQ(saturated, 0u);
+    EXPECT_EQ(service.metrics().counterValue("requests.rejected"), 0u);
 }
 
 TEST(TuningServiceStress, ShutdownDrainsRequestsMidRetry)

@@ -118,6 +118,36 @@ TEST(ThreadPool, BoundedQueueRejectsTryPostWhenFull)
     EXPECT_EQ(pool.queueDepth(), 0u);
 }
 
+TEST(ThreadPool, ParallelForLeavesNoStaleHelpers)
+{
+    // With every worker busy, parallelFor must run on the caller alone
+    // and queue no helpers: one left behind outlives its loop and holds
+    // a bounded-queue slot until a worker frees up.
+    ThreadPool pool(2);
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    std::atomic<int> blocked{0};
+    for (int w = 0; w < 2; ++w) {
+        pool.post([gate, &blocked]() {
+            ++blocked;
+            gate.wait();
+        });
+    }
+    while (blocked.load() < 2)
+        std::this_thread::yield();
+
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> onCaller{0};
+    pool.parallelFor(100, [&](size_t) {
+        if (std::this_thread::get_id() == caller)
+            ++onCaller;
+    });
+    EXPECT_EQ(onCaller.load(), 100);
+    EXPECT_EQ(pool.queueDepth(), 0u);
+
+    release.set_value();
+}
+
 TEST(ThreadPool, ZeroThreadsMeansHardwareConcurrency)
 {
     ThreadPool pool(0);
