@@ -10,7 +10,6 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "conf/generator.h"
@@ -20,7 +19,6 @@
 #include "ga/ga.h"
 #include "ml/boosting.h"
 #include "ml/flat_ensemble.h"
-#include "ml/simd.h"
 #include "sparksim/simulator.h"
 #include "workloads/registry.h"
 
@@ -196,36 +194,22 @@ BM_ModelPredictCompiled(benchmark::State &state)
 }
 BENCHMARK(BM_ModelPredictCompiled);
 
-/** The same compiled query pinned to one walk kernel; rows register
- *  per ISA the build+CPU supports (BM_ModelPredictKernel/<kernel>). */
+/** The same compiled query through the serial reference walk
+ *  (BM_ModelPredictKernel/serial) or the blocked walk (/scalar). */
 void
-modelPredictKernel(benchmark::State &state, ml::simd::Kernel kernel)
+BM_ModelPredictKernel(benchmark::State &state, bool serial)
 {
     const TrainedModel &tm = trainedModel();
+    const double *x = tm.features.data();
+    const size_t n = tm.features.size();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(tm.flat->predictWith(
-            kernel, tm.features.data(), tm.features.size()));
+        benchmark::DoNotOptimize(serial ? tm.flat->predictSerial(x, n)
+                                        : tm.flat->predict(x, n));
     }
     state.SetItemsProcessed(state.iterations());
 }
-
-void
-registerKernelRows()
-{
-    using ml::simd::Kernel;
-    for (const Kernel k : {Kernel::Serial, Kernel::Scalar, Kernel::Avx2,
-                           Kernel::Neon}) {
-        if (!ml::simd::kernelSupported(k))
-            continue;
-        benchmark::RegisterBenchmark(
-            (std::string("BM_ModelPredictKernel/") +
-             ml::simd::kernelName(k))
-                .c_str(),
-            [k](benchmark::State &state) {
-                modelPredictKernel(state, k);
-            });
-    }
-}
+BENCHMARK_CAPTURE(BM_ModelPredictKernel, serial, true);
+BENCHMARK_CAPTURE(BM_ModelPredictKernel, scalar, false);
 
 void
 BM_GaGeneration(benchmark::State &state)
@@ -333,14 +317,4 @@ BENCHMARK(BM_SearchServingScale)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    registerKernelRows();
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

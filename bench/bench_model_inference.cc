@@ -6,26 +6,23 @@
  * consumer the compilation exists for (populationSize x generations
  * model queries per tune request, Section 3.3).
  *
- * Per-ISA rows (BM_PredictKernel/<kernel>, BM_PredictBatchKernel/
- * <kernel>/N) are registered at startup for every walk kernel this
- * build+CPU supports, so one JSON run carries the serial baseline,
- * the blocked scalar walk, and the vector kernels side by side — the
- * numbers EXPERIMENTS.md section "SIMD kernels" quotes, and what the
- * perf-smoke gate pins. Every inference row reports predictions/s via
+ * Per-walk rows (BM_PredictKernel/<walk>, BM_PredictBatchKernel/
+ * <walk>/1000) put the serial reference walk (predictSerial) and the
+ * blocked walk (predict / predictBatch) side by side in one JSON run —
+ * the numbers EXPERIMENTS.md quotes, and what the perf-smoke gate
+ * pins. Every inference row reports predictions/s via
  * items_per_second.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "ga/ga.h"
 #include "ml/flat_ensemble.h"
 #include "ml/hm.h"
 #include "ml/log_target.h"
-#include "ml/simd.h"
 #include "support/random.h"
 
 namespace {
@@ -139,70 +136,55 @@ BM_PredictBatchCompiled(benchmark::State &state)
 }
 BENCHMARK(BM_PredictBatchCompiled)->Arg(50)->Arg(200)->Arg(1000);
 
-/** Single-query walk pinned to one kernel (predictWith). */
+/** One query at a time through the serial reference walk
+ *  (predictSerial) or the blocked walk (predict). */
 void
-predictKernel(benchmark::State &state, ml::simd::Kernel kernel)
+BM_PredictKernel(benchmark::State &state, bool serial)
 {
     const auto &pool = queryPool();
     size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            compiled().predictWith(kernel, pool[i].data(), kFeatures));
+        const double *x = pool[i].data();
+        benchmark::DoNotOptimize(serial
+                                     ? compiled().predictSerial(x, kFeatures)
+                                     : compiled().predict(x, kFeatures));
         i = (i + 1) % pool.size();
     }
     state.SetItemsProcessed(state.iterations());
 }
+BENCHMARK_CAPTURE(BM_PredictKernel, serial, true);
+BENCHMARK_CAPTURE(BM_PredictKernel, scalar, false);
 
 /**
- * Batched walk pinned to one kernel: forceKernel routes predictBatch
- * (and its row-interleaved scalar path) exactly as a DAC_SIMD
- * override would, then the previous selection is restored so later
- * benchmarks see the environment's choice.
+ * state.range(0) packed rows through the serial reference walk, one
+ * row at a time, or through predictBatch's row-interleaved walk — the
+ * pair that shows what interleaving rows buys.
  */
 void
-predictBatchKernel(benchmark::State &state, ml::simd::Kernel kernel,
-                   size_t count)
+BM_PredictBatchKernel(benchmark::State &state, bool serial)
 {
+    const size_t count = static_cast<size_t>(state.range(0));
     Rng rng(2);
     std::vector<double> rows(count * kFeatures);
     for (double &v : rows)
         v = rng.uniform();
     std::vector<double> out(count);
-    const ml::simd::Kernel previous = ml::simd::active();
-    ml::simd::forceKernel(kernel);
     for (auto _ : state) {
-        compiled().predictBatch(rows.data(), kFeatures, count,
-                                out.data());
+        if (serial) {
+            for (size_t i = 0; i < count; ++i)
+                out[i] = compiled().predictSerial(
+                    rows.data() + i * kFeatures, kFeatures);
+        } else {
+            compiled().predictBatch(rows.data(), kFeatures, count,
+                                    out.data());
+        }
         benchmark::DoNotOptimize(out.data());
     }
-    ml::simd::forceKernel(previous);
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(count));
 }
-
-/** Register the per-ISA rows for every kernel this build+CPU runs. */
-void
-registerKernelRows()
-{
-    using ml::simd::Kernel;
-    constexpr size_t kBatch = 1000;
-    for (const Kernel k : {Kernel::Serial, Kernel::Scalar, Kernel::Avx2,
-                           Kernel::Neon}) {
-        if (!ml::simd::kernelSupported(k))
-            continue;
-        const std::string name = ml::simd::kernelName(k);
-        benchmark::RegisterBenchmark(
-            ("BM_PredictKernel/" + name).c_str(),
-            [k](benchmark::State &state) { predictKernel(state, k); });
-        benchmark::RegisterBenchmark(
-            ("BM_PredictBatchKernel/" + name + "/" +
-             std::to_string(kBatch))
-                .c_str(),
-            [k](benchmark::State &state) {
-                predictBatchKernel(state, k, kBatch);
-            });
-    }
-}
+BENCHMARK_CAPTURE(BM_PredictBatchKernel, serial, true)->Arg(1000);
+BENCHMARK_CAPTURE(BM_PredictBatchKernel, scalar, false)->Arg(1000);
 
 /** 10 GA generations, scoring through the interpreted model. */
 void
@@ -254,7 +236,6 @@ main(int argc, char **argv)
     // satisfy min_time and be reported as the row's result.
     compiled();
     queryPool();
-    registerKernelRows();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

@@ -142,14 +142,6 @@ FlatEnsemble::appendMember(double weight, double baseline,
     member.segmentCount =
         static_cast<uint32_t>(segments.size()) - member.firstSegment;
     members.push_back(member);
-
-    // The gather kernels index these arrays by vector lanes; the
-    // aligned allocator guarantees 32-byte bases (growth included).
-    DAC_ASSERT(isAligned(packed.data()) && isAligned(threshold.data()) &&
-                   isAligned(leftChild.data()) &&
-                   isAligned(feature.data()) &&
-                   isAligned(leafValue.data()),
-               "gather-indexed arrays must be 32-byte aligned");
 }
 
 int32_t
@@ -305,17 +297,19 @@ FlatEnsemble::walkScalarRows(const double *const *rows,
 }
 
 double
-FlatEnsemble::walkSerial(const double *x) const
+FlatEnsemble::predictSerial(const double *x, size_t n) const
 {
+    DAC_ASSERT(!members.empty(), "predict on an empty ensemble");
+    DAC_ASSERT(n >= minFeatures, "feature vector too short");
     const PackedNode *node = packed.data();
     const double *val = leafValue.data();
     const int32_t *root = roots.data();
     const int32_t *slot = slotOf.data();
 
-    // The reference kernel: every tree walks its own serial pointer
+    // The reference walk: every tree walks its own serial pointer
     // chain, one at a time — the latency-bound baseline the blocked
-    // and vector kernels are measured against. Same step, same
-    // scratch, same accumulation order: same bits.
+    // walks are measured against. Same step, same scratch, same
+    // accumulation order: same bits.
     double out = 0.0;
     for (const Member &m : members) {
         double acc = m.baseline;
@@ -336,35 +330,7 @@ FlatEnsemble::walkSerial(const double *x) const
         }
         out += m.weight * acc;
     }
-    return out;
-}
-
-double
-FlatEnsemble::predictRawWith(simd::Kernel kernel, const double *x) const
-{
-#if defined(__x86_64__) || defined(_M_X64)
-    if (kernel == simd::Kernel::Avx2)
-        return walkAvx2(x);
-#endif
-#if defined(__aarch64__)
-    if (kernel == simd::Kernel::Neon)
-        return walkNeon(x);
-#endif
-    if (kernel == simd::Kernel::Serial)
-        return walkSerial(x);
-    return predictRaw(x);
-}
-
-double
-FlatEnsemble::predictWith(simd::Kernel kernel, const double *x,
-                          size_t n) const
-{
-    DAC_ASSERT(!members.empty(), "predict on an empty ensemble");
-    DAC_ASSERT(n >= minFeatures, "feature vector too short");
-    DAC_ASSERT(simd::kernelSupported(kernel),
-               "predictWith on an unsupported kernel");
-    const double raw = predictRawWith(kernel, x);
-    return applyExp ? std::exp(raw) : raw;
+    return applyExp ? std::exp(out) : out;
 }
 
 double
@@ -372,7 +338,7 @@ FlatEnsemble::predict(const double *x, size_t n) const
 {
     DAC_ASSERT(!members.empty(), "predict on an empty ensemble");
     DAC_ASSERT(n >= minFeatures, "feature vector too short");
-    const double raw = predictRawWith(simd::active(), x);
+    const double raw = predictRaw(x);
     return applyExp ? std::exp(raw) : raw;
 }
 
@@ -384,10 +350,38 @@ FlatEnsemble::predict(const std::vector<double> &x) const
 
 namespace {
 
-/** Rows the scalar batch kernel interleaves per walk. */
+/** Rows the batch walk interleaves per walkScalarRows call. */
 constexpr size_t kBatchRows = 16;
 
 } // namespace
+
+template <typename RowAt>
+void
+FlatEnsemble::predictRows(size_t count, const RowAt &rowAt, double *out,
+                          Executor *executor) const
+{
+    // Each task walks kBatchRows rows through the blocks together.
+    // Per-row bits match the single-row walk exactly, so chunking is
+    // invisible.
+    const size_t chunks = (count + kBatchRows - 1) / kBatchRows;
+    parallelFor(executor, chunks, [&](size_t c) {
+        const size_t first = c * kBatchRows;
+        if (first + kBatchRows <= count) {
+            const double *rows[kBatchRows];
+            for (size_t r = 0; r < kBatchRows; ++r)
+                rows[r] = rowAt(first + r);
+            double raw[kBatchRows];
+            walkScalarRows<kBatchRows>(rows, raw);
+            for (size_t r = 0; r < kBatchRows; ++r)
+                out[first + r] = applyExp ? std::exp(raw[r]) : raw[r];
+        } else {
+            for (size_t i = first; i < count; ++i) {
+                const double raw = predictRaw(rowAt(i));
+                out[i] = applyExp ? std::exp(raw) : raw;
+            }
+        }
+    });
+}
 
 void
 FlatEnsemble::predictBatch(const double *const *rows, size_t count,
@@ -396,34 +390,8 @@ FlatEnsemble::predictBatch(const double *const *rows, size_t count,
 {
     DAC_ASSERT(!members.empty(), "predict on an empty ensemble");
     DAC_ASSERT(row_len >= minFeatures, "feature rows too short");
-    // One kernel decision per batch, hoisted out of the row loop.
-    const simd::Kernel kernel = simd::active();
-    if (kernel == simd::Kernel::Scalar) {
-        // Row-interleaved scalar walk: each task walks kBatchRows
-        // rows through the blocks together. Per-row bits match the
-        // single-row walk exactly, so chunking is invisible.
-        const size_t chunks = (count + kBatchRows - 1) / kBatchRows;
-        parallelFor(executor, chunks, [&](size_t c) {
-            const size_t first = c * kBatchRows;
-            if (first + kBatchRows <= count) {
-                double raw[kBatchRows];
-                walkScalarRows<kBatchRows>(rows + first, raw);
-                for (size_t r = 0; r < kBatchRows; ++r)
-                    out[first + r] =
-                        applyExp ? std::exp(raw[r]) : raw[r];
-            } else {
-                for (size_t i = first; i < count; ++i) {
-                    const double raw = predictRaw(rows[i]);
-                    out[i] = applyExp ? std::exp(raw) : raw;
-                }
-            }
-        });
-        return;
-    }
-    parallelFor(executor, count, [&](size_t i) {
-        const double raw = predictRawWith(kernel, rows[i]);
-        out[i] = applyExp ? std::exp(raw) : raw;
-    });
+    predictRows(
+        count, [rows](size_t i) { return rows[i]; }, out, executor);
 }
 
 void
@@ -433,33 +401,9 @@ FlatEnsemble::predictBatch(const double *rows, size_t row_stride,
 {
     DAC_ASSERT(!members.empty(), "predict on an empty ensemble");
     DAC_ASSERT(row_stride >= minFeatures, "row stride too short");
-    const simd::Kernel kernel = simd::active();
-    if (kernel == simd::Kernel::Scalar) {
-        const size_t chunks = (count + kBatchRows - 1) / kBatchRows;
-        parallelFor(executor, chunks, [&](size_t c) {
-            const size_t first = c * kBatchRows;
-            if (first + kBatchRows <= count) {
-                const double *ptrs[kBatchRows];
-                for (size_t r = 0; r < kBatchRows; ++r)
-                    ptrs[r] = rows + (first + r) * row_stride;
-                double raw[kBatchRows];
-                walkScalarRows<kBatchRows>(ptrs, raw);
-                for (size_t r = 0; r < kBatchRows; ++r)
-                    out[first + r] =
-                        applyExp ? std::exp(raw[r]) : raw[r];
-            } else {
-                for (size_t i = first; i < count; ++i) {
-                    const double raw = predictRaw(rows + i * row_stride);
-                    out[i] = applyExp ? std::exp(raw) : raw;
-                }
-            }
-        });
-        return;
-    }
-    parallelFor(executor, count, [&](size_t i) {
-        const double raw = predictRawWith(kernel, rows + i * row_stride);
-        out[i] = applyExp ? std::exp(raw) : raw;
-    });
+    predictRows(
+        count, [rows, row_stride](size_t i) { return rows + i * row_stride; },
+        out, executor);
 }
 
 } // namespace dac::ml

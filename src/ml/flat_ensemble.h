@@ -13,28 +13,29 @@
  * values at compile time, so a prediction is a handful of tight array
  * walks with one assert per query.
  *
- * The walk itself is vectorized: at compile time trees are sorted by
+ * The walk itself is blocked: at compile time trees are sorted by
  * depth inside fixed-size segments and grouped into blocks of eight
  * structurally-similar lanes (the population-blocked layout — equal
  * depths mean the lock-step walk pads almost nothing, and each block
  * precomputes its step count so no per-query depth scan remains).
  * Node records are packed into a 16-byte interleaved {feature,
- * leftChild, threshold} array on 32-byte-aligned storage, so a walk
- * step costs two loads instead of four. Per-block kernels — a serial
- * reference, the portable lock-step scalar walk, AVX2 gather, NEON —
- * walk a block's lanes together. Kernel choice is a one-time runtime
- * decision (cpuid + the DAC_SIMD override; see ml/simd.h), reaching
- * every caller through the same predict/predictBatch entry points.
+ * leftChild, threshold} array, so a walk step costs two loads instead
+ * of four. predict() walks a block's eight lanes in lock-step;
+ * predictBatch() additionally interleaves sixteen rows per walk; and
+ * predictSerial() is the textbook reference (one tree, one serial
+ * chain at a time) that tests and benchmarks compare against. The
+ * walk is scalar on purpose: an AVX2 gather walk measured slower than
+ * the blocked walk on x86-64 (EXPERIMENTS.md, "Ablations").
  *
- * Determinism contract: predict() returns EXACTLY (bit-for-bit) what
- * the interpreted Model::predict returns, on EVERY kernel. Folding
- * keeps that exact: lr * leaf is the same product whether computed at
- * compile time or per query, and per-member accumulation (acc =
- * baseline + sum of scaled leaves; out += weight * acc) reproduces
- * the interpreted operation order. The vector kernels only ever
- * vectorize the index walk — integer arithmetic plus the exact
- * comparison x <= t, which has one correct answer per lane — while
- * leaf values still accumulate scalar, one tree at a time in the
+ * Determinism contract: predict(), predictBatch() and predictSerial()
+ * return EXACTLY (bit-for-bit) what the interpreted Model::predict
+ * returns. Folding keeps that exact: lr * leaf is the same product
+ * whether computed at compile time or per query, and per-member
+ * accumulation (acc = baseline + sum of scaled leaves;
+ * out += weight * acc) reproduces the interpreted operation order.
+ * The blocked walks only reorder the index walk — integer arithmetic
+ * plus the exact comparison x <= t, which has one correct answer per
+ * lane — while leaf values still accumulate one tree at a time in the
  * ORIGINAL tree order: the depth-sorted walk parks each lane's leaf
  * index in a per-segment scratch slot keyed by the tree's original
  * position, and the accumulation pass reads the scratch back in that
@@ -49,8 +50,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ml/simd.h"
-#include "support/aligned.h"
 #include "support/executor.h"
 
 namespace dac::persist {
@@ -99,13 +98,11 @@ class FlatEnsemble
                       double *out, Executor *executor = nullptr) const;
 
     /**
-     * Predict one row with an explicitly chosen kernel, bypassing the
-     * process-wide simd::active() selection. All kernels return the
-     * same bits; tests and per-ISA benchmarks use this to compare
-     * them. Requesting a kernel this build/CPU lacks is a caller bug.
+     * Predict one row through the serial reference walk: one tree,
+     * one dependent chain at a time. Same bits as predict(); tests,
+     * `dac_snap verify --deep` and the benchmarks compare against it.
      */
-    double predictWith(simd::Kernel kernel, const double *x,
-                       size_t n) const;
+    double predictSerial(const double *x, size_t n) const;
 
     /** First-order models in the compiled combination. */
     size_t memberCount() const { return members.size(); }
@@ -137,17 +134,9 @@ class FlatEnsemble
                       const std::vector<RegressionTree> &trees,
                       double leaf_scale);
 
-    /** Walk every member/tree with the lock-step scalar kernel; no
-     *  exp, no asserts. The always-on fallback. */
+    /** Walk every member/tree with the eight-lane lock-step walk; no
+     *  exp, no asserts. */
     double predictRaw(const double *x) const;
-
-    /** Reference walk: one tree at a time, one serial pointer chain
-     *  each — the textbook scalar baseline the vectorized kernels are
-     *  measured against (Kernel::Serial). Same bits as predictRaw. */
-    double walkSerial(const double *x) const;
-
-    /** predictRaw routed through `kernel`; same bits on every path. */
-    double predictRawWith(simd::Kernel kernel, const double *x) const;
 
     /**
      * Walk R rows through every block together (R * 8 interleaved
@@ -160,16 +149,14 @@ class FlatEnsemble
     template <int R>
     void walkScalarRows(const double *const *rows, double *outs) const;
 
-#if defined(__x86_64__) || defined(_M_X64)
-    /** AVX2 gather walk (flat_ensemble_avx2.cc); bit-identical to
-     *  predictRaw. Only callable when simd reports Avx2 support. */
-    double walkAvx2(const double *x) const;
-#endif
-#if defined(__aarch64__)
-    /** NEON walk (flat_ensemble_neon.cc); bit-identical to
-     *  predictRaw. */
-    double walkNeon(const double *x) const;
-#endif
+    /**
+     * The batch walk behind both predictBatch overloads: rows go
+     * through walkScalarRows in chunks of sixteen, a short tail one
+     * row at a time through predictRaw. rowAt(i) returns row i.
+     */
+    template <typename RowAt>
+    void predictRows(size_t count, const RowAt &rowAt, double *out,
+                     Executor *executor) const;
 
     /** Steps from the root of `tree` to its deepest leaf. */
     static int32_t treeDepth(const RegressionTree &tree);
@@ -213,8 +200,7 @@ class FlatEnsemble
      * segment, padded (via the self-looping leaves) to the deepest
      * lane — nearly nothing, since sorting makes a block's lanes
      * structurally similar. Step counts are computed at compile time
-     * so a walk needs no per-query depth scan; the vector kernels map
-     * a full block onto two 4-lane AVX2 (or NEON) index vectors.
+     * so a walk needs no per-query depth scan.
      */
     struct Block
     {
@@ -224,12 +210,11 @@ class FlatEnsemble
     };
 
     /**
-     * Interleaved per-node record for the gather kernels: one 16-byte
-     * load covers the {feature, leftChild} pair (a single 64-bit
-     * gather lane) and the threshold sits 8 bytes further, so a walk
-     * step touches one cache line per node instead of three. Kept
-     * alongside the SoA arrays (which the scalar kernel and the
-     * compile-time renumbering still use).
+     * Interleaved per-node record the walks step through: the
+     * {feature, leftChild} pair and the threshold share one 16-byte
+     * record, so a walk step touches one cache line per node instead
+     * of three. Kept alongside the SoA arrays (which the snapshot
+     * format and the compile-time renumbering still use).
      */
     struct PackedNode
     {
@@ -238,8 +223,7 @@ class FlatEnsemble
         double threshold = 0.0;
     };
     static_assert(sizeof(PackedNode) == 16,
-                  "gather kernels index packed nodes by idx * 2 "
-                  "64-bit words");
+                  "a packed node is one 16-byte record");
 
     /**
      * One branchless walk step: the next node index for `x` at node
@@ -282,15 +266,13 @@ class FlatEnsemble
     // see appendMember for why +inf would break on NaN features) —
     // with the pre-scaled leaf value in leafValue[i], so a walk can
     // run a fixed number of steps without a per-node "is leaf" branch
-    // and a block's trees walk in lock-step (see predictRaw). All gather-indexed arrays live on
-    // 32-byte-aligned storage (support/aligned.h), asserted at
-    // compile time in appendMember.
-    AlignedVector<int32_t> feature;
-    AlignedVector<double> threshold;
-    AlignedVector<int32_t> leftChild;
-    AlignedVector<double> leafValue;
+    // and a block's trees walk in lock-step (see predictRaw).
+    std::vector<int32_t> feature;
+    std::vector<double> threshold;
+    std::vector<int32_t> leftChild;
+    std::vector<double> leafValue;
     /** Interleaved mirror of (feature, leftChild, threshold). */
-    AlignedVector<PackedNode> packed;
+    std::vector<PackedNode> packed;
     size_t minFeatures = 0;
     bool applyExp = false;
 };

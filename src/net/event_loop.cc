@@ -9,19 +9,18 @@
 
 namespace dac::net {
 
-EventLoop::EventLoop(PollerKind kind)
-    : poller(Poller::create(kind))
+EventLoop::EventLoop()
 {
     if (::pipe(wakeFds) != 0)
         fatalError(std::string("pipe(): ") + std::strerror(errno));
     setNonBlocking(wakeFds[0]);
     setNonBlocking(wakeFds[1]);
-    poller->add(wakeFds[0], true, false);
+    poller.add(wakeFds[0], true, false);
 }
 
 EventLoop::~EventLoop()
 {
-    poller->remove(wakeFds[0]);
+    poller.remove(wakeFds[0]);
     ::close(wakeFds[0]);
     ::close(wakeFds[1]);
 }
@@ -33,7 +32,7 @@ EventLoop::run()
                      std::memory_order_release);
     std::vector<ReadyEvent> ready;
     while (!stopRequested.load(std::memory_order_acquire)) {
-        poller->wait(-1, ready);
+        poller.wait(-1, ready);
         for (const ReadyEvent &event : ready) {
             if (event.fd == wakeFds[0]) {
                 // Drain however many wakeup bytes accumulated.
@@ -88,21 +87,21 @@ EventLoop::watch(int fd, bool read, bool write, FdHandler handler)
     DAC_ASSERT(handlers.find(fd) == handlers.end(),
                "fd is already watched");
     handlers.emplace(fd, std::move(handler));
-    poller->add(fd, read, write);
+    poller.add(fd, read, write);
 }
 
 void
 EventLoop::updateInterest(int fd, bool read, bool write)
 {
     DAC_ASSERT(inLoopThread(), "updateInterest() off the loop thread");
-    poller->update(fd, read, write);
+    poller.update(fd, read, write);
 }
 
 void
 EventLoop::unwatch(int fd)
 {
     DAC_ASSERT(inLoopThread(), "unwatch() off the loop thread");
-    poller->remove(fd);
+    poller.remove(fd);
     handlers.erase(fd);
 }
 

@@ -31,7 +31,7 @@ class EventLoop
     /** Invoked on the loop thread when the watched fd is ready. */
     using FdHandler = std::function<void(const ReadyEvent &)>;
 
-    explicit EventLoop(PollerKind kind = PollerKind::Default);
+    EventLoop();
     ~EventLoop();
 
     EventLoop(const EventLoop &) = delete;
@@ -69,10 +69,9 @@ class EventLoop
     void wakeup();
     void runPending();
 
-    std::unique_ptr<Poller> poller;
+    Poller poller;
     /** Self-pipe: [0] read end watched by the poller, [1] written by
-     *  wakeup(). A pipe rather than eventfd keeps both poller
-     *  backends portable. */
+     *  wakeup(). */
     int wakeFds[2] = {-1, -1};
     std::map<int, FdHandler> handlers;
 

@@ -2,13 +2,9 @@
 
 #include <cerrno>
 #include <cstring>
-#include <map>
-#include <poll.h>
-#include <unistd.h>
-
-#if defined(__linux__)
+#include <string>
 #include <sys/epoll.h>
-#endif
+#include <unistd.h>
 
 #include "support/logging.h"
 
@@ -16,165 +12,73 @@ namespace dac::net {
 
 namespace {
 
-/**
- * Portable backend: rebuild a pollfd array from the interest map each
- * wait. O(watched fds) per cycle — fine for the connection counts a
- * tuning service sees, and the only option off Linux.
- */
-class PollPoller final : public Poller
-{
-  public:
-    void
-    add(int fd, bool read, bool write) override
-    {
-        interest[fd] = events(read, write);
-    }
-
-    void
-    update(int fd, bool read, bool write) override
-    {
-        const auto it = interest.find(fd);
-        DAC_ASSERT(it != interest.end(), "update of an unwatched fd");
-        it->second = events(read, write);
-    }
-
-    void
-    remove(int fd) override
-    {
-        interest.erase(fd);
-    }
-
-    void
-    wait(int timeout_ms, std::vector<ReadyEvent> &out) override
-    {
-        out.clear();
-        fds.clear();
-        fds.reserve(interest.size());
-        for (const auto &[fd, ev] : interest)
-            fds.push_back(pollfd{fd, ev, 0});
-        const int ready = ::poll(fds.data(),
-                                 static_cast<nfds_t>(fds.size()),
-                                 timeout_ms);
-        if (ready <= 0)
-            return; // timeout or EINTR; the loop just re-waits
-        for (const pollfd &pfd : fds) {
-            if (pfd.revents == 0)
-                continue;
-            ReadyEvent event;
-            event.fd = pfd.fd;
-            event.readable = (pfd.revents & POLLIN) != 0;
-            event.writable = (pfd.revents & POLLOUT) != 0;
-            event.broken =
-                (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-            out.push_back(event);
-        }
-    }
-
-  private:
-    static short
-    events(bool read, bool write)
-    {
-        short ev = 0;
-        if (read)
-            ev |= POLLIN;
-        if (write)
-            ev |= POLLOUT;
-        return ev;
-    }
-
-    std::map<int, short> interest;
-    std::vector<pollfd> fds; ///< scratch, rebuilt per wait
-};
-
-#if defined(__linux__)
-
-/** Production backend: one epoll instance, level-triggered. */
-class EpollPoller final : public Poller
-{
-  public:
-    EpollPoller()
-        : epollFd(::epoll_create1(0))
-    {
-        if (epollFd < 0)
-            fatalError(std::string("epoll_create1(): ") +
-                       std::strerror(errno));
-    }
-
-    ~EpollPoller() override { ::close(epollFd); }
-
-    void
-    add(int fd, bool read, bool write) override
-    {
-        control(EPOLL_CTL_ADD, fd, read, write);
-    }
-
-    void
-    update(int fd, bool read, bool write) override
-    {
-        control(EPOLL_CTL_MOD, fd, read, write);
-    }
-
-    void
-    remove(int fd) override
-    {
-        epoll_event ev{};
-        (void)::epoll_ctl(epollFd, EPOLL_CTL_DEL, fd, &ev);
-    }
-
-    void
-    wait(int timeout_ms, std::vector<ReadyEvent> &out) override
-    {
-        out.clear();
-        epoll_event events[kMaxEvents];
-        const int ready =
-            ::epoll_wait(epollFd, events, kMaxEvents, timeout_ms);
-        if (ready <= 0)
-            return;
-        out.reserve(static_cast<size_t>(ready));
-        for (int i = 0; i < ready; ++i) {
-            ReadyEvent event;
-            event.fd = events[i].data.fd;
-            event.readable = (events[i].events & EPOLLIN) != 0;
-            event.writable = (events[i].events & EPOLLOUT) != 0;
-            event.broken =
-                (events[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-            out.push_back(event);
-        }
-    }
-
-  private:
-    static constexpr int kMaxEvents = 64;
-
-    void
-    control(int op, int fd, bool read, bool write)
-    {
-        epoll_event ev{};
-        ev.data.fd = fd;
-        if (read)
-            ev.events |= EPOLLIN;
-        if (write)
-            ev.events |= EPOLLOUT;
-        if (::epoll_ctl(epollFd, op, fd, &ev) != 0)
-            fatalError(std::string("epoll_ctl(): ") +
-                       std::strerror(errno));
-    }
-
-    int epollFd;
-};
-
-#endif // __linux__
+/** Ready events one wait() collects at most. */
+constexpr int kMaxEvents = 64;
 
 } // namespace
 
-std::unique_ptr<Poller>
-Poller::create(PollerKind kind)
+Poller::Poller()
+    : epollFd(::epoll_create1(0))
 {
-#if defined(__linux__)
-    if (kind == PollerKind::Default)
-        return std::make_unique<EpollPoller>();
-#endif
-    (void)kind;
-    return std::make_unique<PollPoller>();
+    if (epollFd < 0)
+        fatalError(std::string("epoll_create1(): ") +
+                   std::strerror(errno));
+}
+
+Poller::~Poller()
+{
+    ::close(epollFd);
+}
+
+void
+Poller::add(int fd, bool read, bool write)
+{
+    control(EPOLL_CTL_ADD, fd, read, write);
+}
+
+void
+Poller::update(int fd, bool read, bool write)
+{
+    control(EPOLL_CTL_MOD, fd, read, write);
+}
+
+void
+Poller::remove(int fd)
+{
+    epoll_event ev{};
+    (void)::epoll_ctl(epollFd, EPOLL_CTL_DEL, fd, &ev);
+}
+
+void
+Poller::wait(int timeout_ms, std::vector<ReadyEvent> &out)
+{
+    out.clear();
+    epoll_event events[kMaxEvents];
+    const int ready = ::epoll_wait(epollFd, events, kMaxEvents, timeout_ms);
+    if (ready <= 0)
+        return; // timeout or EINTR; the loop just re-waits
+    out.reserve(static_cast<size_t>(ready));
+    for (int i = 0; i < ready; ++i) {
+        ReadyEvent event;
+        event.fd = events[i].data.fd;
+        event.readable = (events[i].events & EPOLLIN) != 0;
+        event.writable = (events[i].events & EPOLLOUT) != 0;
+        event.broken = (events[i].events & (EPOLLERR | EPOLLHUP)) != 0;
+        out.push_back(event);
+    }
+}
+
+void
+Poller::control(int op, int fd, bool read, bool write)
+{
+    epoll_event ev{};
+    ev.data.fd = fd;
+    if (read)
+        ev.events |= EPOLLIN;
+    if (write)
+        ev.events |= EPOLLOUT;
+    if (::epoll_ctl(epollFd, op, fd, &ev) != 0)
+        fatalError(std::string("epoll_ctl(): ") + std::strerror(errno));
 }
 
 } // namespace dac::net

@@ -1,30 +1,17 @@
 /**
  * @file
- * Readiness-notification backend of the event loop: an interface over
- * "tell me which of these fds are readable/writable", with an epoll
- * implementation (Linux, the production path) and a portable poll()
- * implementation.
- *
- * Both backends compile everywhere they can (poll always, epoll on
- * Linux), and the tests run the server over both, so the fallback is
- * exercised code rather than an untested #else branch.
+ * Readiness-notification backend of the event loop: one
+ * level-triggered epoll instance answering "which of these fds are
+ * readable/writable". The server is Linux-only, and epoll is its one
+ * readiness backend.
  */
 
 #ifndef DAC_NET_POLLER_H
 #define DAC_NET_POLLER_H
 
-#include <memory>
 #include <vector>
 
 namespace dac::net {
-
-/** Which backend an event loop polls with. */
-enum class PollerKind {
-    /** epoll on Linux, poll elsewhere. */
-    Default,
-    /** Force the portable poll() backend. */
-    Poll,
-};
 
 /** One ready descriptor, as reported by Poller::wait. */
 struct ReadyEvent
@@ -38,29 +25,35 @@ struct ReadyEvent
 };
 
 /**
- * Level-triggered readiness watcher. Not thread-safe: owned and
- * driven by exactly one event-loop thread.
+ * Level-triggered readiness watcher over epoll. Not thread-safe:
+ * owned and driven by exactly one event-loop thread.
  */
 class Poller
 {
   public:
-    virtual ~Poller() = default;
+    Poller();
+    ~Poller();
+
+    Poller(const Poller &) = delete;
+    Poller &operator=(const Poller &) = delete;
 
     /** Start watching `fd` for the given interest set. */
-    virtual void add(int fd, bool read, bool write) = 0;
+    void add(int fd, bool read, bool write);
     /** Change the interest set of a watched fd. */
-    virtual void update(int fd, bool read, bool write) = 0;
+    void update(int fd, bool read, bool write);
     /** Stop watching (must be called before closing the fd). */
-    virtual void remove(int fd) = 0;
+    void remove(int fd);
 
     /**
      * Block up to `timeout_ms` (-1 = forever) and fill `out` with the
      * ready descriptors.
      */
-    virtual void wait(int timeout_ms, std::vector<ReadyEvent> &out) = 0;
+    void wait(int timeout_ms, std::vector<ReadyEvent> &out);
 
-    /** Backend factory. */
-    [[nodiscard]] static std::unique_ptr<Poller> create(PollerKind kind);
+  private:
+    void control(int op, int fd, bool read, bool write);
+
+    int epollFd;
 };
 
 } // namespace dac::net

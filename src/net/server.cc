@@ -367,7 +367,7 @@ TuningServer::start()
 
     loops.reserve(options.eventLoops);
     for (size_t i = 0; i < options.eventLoops; ++i)
-        loops.push_back(std::make_unique<Loop>(options.poller));
+        loops.push_back(std::make_unique<Loop>());
     if (options.metrics != nullptr) {
         // Resolve every metric once, up front: the hot path then costs
         // an atomic bump, never the registry lock.

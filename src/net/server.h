@@ -68,8 +68,6 @@ struct ServerOptions
     size_t replyThreads = 2;
     /** Frame payload ceiling enforced on ingress. */
     size_t maxFrameBytes = kMaxPayloadBytes;
-    /** Readiness backend (tests exercise the poll fallback). */
-    PollerKind poller = PollerKind::Default;
     /**
      * Registry the server publishes per-loop RED metrics (rate /
      * errors / duration) and serialize/write phase histograms into —
@@ -155,7 +153,6 @@ class TuningServer
     /** One worker loop plus its pinned connections. */
     struct Loop
     {
-        explicit Loop(PollerKind kind) : loop(kind) {}
         EventLoop loop;
         std::thread thread;
         /** Loop-thread-only ownership of pinned connections. */

@@ -4,11 +4,9 @@
  * latency histograms with percentile estimates, dumpable as an aligned
  * ASCII table (support/table) or as Prometheus text exposition.
  *
- * Moved here from src/service in PR 2 so every layer of the pipeline
- * (simulator, collector, modeler, searcher) can record into the
- * process-wide globalMetrics() registry without depending on the
- * service runtime; src/service/metrics.h keeps aliases for existing
- * users.
+ * Lives in obs (not the service runtime) so every layer of the
+ * pipeline (simulator, collector, modeler, searcher) can record into
+ * the process-wide globalMetrics() registry.
  *
  * Counter and Histogram references handed out by a registry stay valid
  * for the registry's lifetime and may be updated concurrently from any

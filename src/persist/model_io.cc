@@ -110,17 +110,15 @@ readHmParams(ByteReader &r)
     return p;
 }
 
-template <typename T>
 void
-writeI32Array(ByteWriter &w, const T &values)
+writeI32Array(ByteWriter &w, const std::vector<int32_t> &values)
 {
     for (int32_t v : values)
         w.i32(v);
 }
 
-template <typename T>
 void
-writeF64Array(ByteWriter &w, const T &values)
+writeF64Array(ByteWriter &w, const std::vector<double> &values)
 {
     for (double v : values)
         w.f64(v);

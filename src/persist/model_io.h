@@ -14,7 +14,7 @@
  *  - Bit-exactness: every double travels as its IEEE-754 bit pattern
  *    and the compiled FlatEnsemble is stored verbatim rather than
  *    recompiled on load, so a reloaded model reproduces the original's
- *    predictions bit-for-bit on every kernel (the derived `packed`
+ *    predictions bit-for-bit through every walk (the derived `packed`
  *    mirror is rebuilt from the stored SoA arrays — it is a pure
  *    re-interleaving, not arithmetic).
  *

@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "dac/tuner.h"
+#include "obs/metrics.h"
 #include "service/backend.h"
-#include "service/metrics.h"
 #include "service/model_cache.h"
 #include "service/request.h"
 #include "service/thread_pool.h"
@@ -158,7 +158,7 @@ class TuningService final : public TuningBackend
     void shutdown();
 
     /** Operational counters and latency histograms. */
-    MetricsRegistry &metrics() { return registry; }
+    obs::MetricsRegistry &metrics() { return registry; }
 
     /** Model-cache accounting (hits, misses, evictions, ...). */
     ModelCache::Stats cacheStats() const { return cache.stats(); }
@@ -232,7 +232,7 @@ class TuningService final : public TuningBackend
 
     const sparksim::SparkSimulator *sim;
     ServiceOptions options;
-    MetricsRegistry registry;
+    obs::MetricsRegistry registry;
     ModelCache cache;
     /** Service-wide model-build attempt index (fault hook keys its
      *  deterministic draws on this). */

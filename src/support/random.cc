@@ -59,8 +59,14 @@ Rng::uniformInt(int64_t lo, int64_t hi)
 double
 Rng::normal(double mean, double stddev)
 {
-    std::normal_distribution<double> dist(mean, stddev);
-    return dist(engine);
+    // std::normal_distribution(mean, stddev) requires stddev > 0, yet
+    // noise-free simulator profiles ask for stddev 0. libstdc++
+    // computes z * stddev + mean from a standard-normal z, so scaling
+    // a standard draw here gives the same bits for every stddev > 0
+    // and makes stddev 0 legal: it returns `mean` and still advances
+    // the engine by one standard-normal draw.
+    std::normal_distribution<double> standard;
+    return standard(engine) * stddev + mean;
 }
 
 double

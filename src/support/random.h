@@ -65,7 +65,8 @@ class Rng
     /** Uniform integer in the closed interval [lo, hi]. */
     int64_t uniformInt(int64_t lo, int64_t hi);
 
-    /** Gaussian with the given mean and standard deviation. */
+    /** Gaussian with the given mean and standard deviation
+     *  (stddev >= 0; stddev 0 returns `mean`). */
     double normal(double mean, double stddev);
 
     /**

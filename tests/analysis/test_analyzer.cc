@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -136,14 +137,18 @@ TEST(RenderSarif, EmptyReportIsStillAValidRun)
     EXPECT_NE(sarif.find("\"results\": []"), std::string::npos);
 }
 
-/** A tree on disk exercising the load-and-summarize path. */
+/** A tree on disk exercising the load-and-summarize path. Each test
+ *  gets its own directory because ctest runs the tests as concurrent
+ *  processes: with a shared one, one test's TearDown deletes files
+ *  the other is still reading. */
 class AnalyzerDiskFixture : public ::testing::Test
 {
   protected:
     void SetUp() override
     {
-        root = std::filesystem::path(::testing::TempDir()) /
-            "dac_analyze_fixture";
+        char dirTemplate[] = "/tmp/dac-analyze-XXXXXX";
+        ASSERT_NE(mkdtemp(dirTemplate), nullptr);
+        root = dirTemplate;
         std::filesystem::create_directories(root / "src" / "net");
         write("src/net/proto.h", "enum class Op { Get, Put, Del };\n");
         write("src/net/handle.cc",

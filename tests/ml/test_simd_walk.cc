@@ -1,12 +1,12 @@
 /**
  * @file
- * The vectorized walk kernels: bit-identity of every kernel this
- * build/CPU supports against the interpreted model (predictWith),
- * the DAC_SIMD selection plumbing (parseName / resolve /
- * defaultKernel / forceKernel), and concurrent predictBatch on a
- * shared FlatEnsemble — the exact access pattern the GA's batch
- * objective and the service warm path produce, and what the TSan CI
- * leg checks for ordering bugs.
+ * The compiled walks: bit-identity of the serial reference walk
+ * (predictSerial), the eight-lane blocked walk (predict) and the
+ * row-interleaved batch walk (both predictBatch overloads) against
+ * the interpreted model, and concurrent predictBatch on a shared
+ * FlatEnsemble — the exact access pattern the GA's batch objective
+ * and the service warm path produce, and what the TSan CI leg checks
+ * for ordering bugs.
  */
 
 #include <gtest/gtest.h>
@@ -20,25 +20,10 @@
 #include "ml/flat_ensemble.h"
 #include "ml/hm.h"
 #include "ml/log_target.h"
-#include "ml/simd.h"
 #include "service/thread_pool.h"
 
 namespace dac::ml {
 namespace {
-
-/** Kernels this build+CPU can actually run (Serial/Scalar always). */
-std::vector<simd::Kernel>
-supportedKernels()
-{
-    std::vector<simd::Kernel> out;
-    for (const simd::Kernel k :
-         {simd::Kernel::Serial, simd::Kernel::Scalar, simd::Kernel::Avx2,
-          simd::Kernel::Neon}) {
-        if (simd::kernelSupported(k))
-            out.push_back(k);
-    }
-    return out;
-}
 
 DataSet
 bumpyData(int n, uint64_t seed)
@@ -72,22 +57,34 @@ randomQueries(size_t count, size_t width, uint64_t seed)
     return queries;
 }
 
-/** Every supported kernel must reproduce the interpreted prediction
- *  bit-for-bit — the contract DESIGN.md section 14 pins. */
+/** Every walk must reproduce the interpreted prediction
+ *  bit-for-bit — the contract DESIGN.md section 14 pins. The batch
+ *  walks see every query at once, so query counts that are not a
+ *  multiple of the 16-row chunk also cover the single-row tail. */
 void
-expectKernelsExact(const Model &model, const FlatEnsemble &flat,
-                   const std::vector<std::vector<double>> &queries)
+expectWalksExact(const Model &model, const FlatEnsemble &flat,
+                 const std::vector<std::vector<double>> &queries)
 {
-    const auto kernels = supportedKernels();
-    ASSERT_GE(kernels.size(), 2u); // Serial + Scalar at minimum
+    const size_t width = queries.front().size();
+    std::vector<double> expected;
+    std::vector<const double *> rowPtrs;
+    std::vector<double> packed;
     for (const auto &q : queries) {
         const double interpreted = model.predict(q);
-        for (const simd::Kernel k : kernels) {
-            EXPECT_EQ(interpreted,
-                      flat.predictWith(k, q.data(), q.size()))
-                << "kernel " << simd::kernelName(k);
-        }
+        EXPECT_EQ(interpreted, flat.predictSerial(q.data(), q.size()));
+        EXPECT_EQ(interpreted, flat.predict(q.data(), q.size()));
+        expected.push_back(interpreted);
+        rowPtrs.push_back(q.data());
+        packed.insert(packed.end(), q.begin(), q.end());
     }
+    std::vector<double> viaPtrs(queries.size(), 0.0);
+    flat.predictBatch(rowPtrs.data(), rowPtrs.size(), width,
+                      viaPtrs.data());
+    EXPECT_EQ(viaPtrs, expected);
+    std::vector<double> viaStride(queries.size(), 0.0);
+    flat.predictBatch(packed.data(), width, queries.size(),
+                      viaStride.data());
+    EXPECT_EQ(viaStride, expected);
 }
 
 TEST(SimdWalk, AllKernelsMatchGradientBoostExactly)
@@ -102,14 +99,14 @@ TEST(SimdWalk, AllKernelsMatchGradientBoostExactly)
         gb.train(bumpyData(300, seed));
         const auto flat = gb.compile();
         ASSERT_NE(flat, nullptr);
-        expectKernelsExact(gb, *flat,
+        expectWalksExact(gb, *flat,
                            randomQueries(64, 5, seed + 200));
     }
 }
 
 TEST(SimdWalk, AllKernelsMatchLogTargetModelExactly)
 {
-    // exp() sits after the walk, so the per-kernel raw sums must
+    // exp() sits after the walk, so the per-walk raw sums must
     // already agree before exponentiation can.
     HmParams p;
     p.firstOrder.maxTrees = 60;
@@ -122,7 +119,7 @@ TEST(SimdWalk, AllKernelsMatchLogTargetModelExactly)
     const auto flat = model.compile();
     ASSERT_NE(flat, nullptr);
     EXPECT_TRUE(flat->expOutput());
-    expectKernelsExact(model, *flat, randomQueries(64, 5, 7));
+    expectWalksExact(model, *flat, randomQueries(64, 5, 7));
 }
 
 TEST(SimdWalk, AllKernelsMatchOnSingleLeafTrees)
@@ -142,7 +139,7 @@ TEST(SimdWalk, AllKernelsMatchOnSingleLeafTrees)
     const auto flat = gb.compile();
     ASSERT_NE(flat, nullptr);
     EXPECT_EQ(flat->nodeCount(), flat->treeCount());
-    expectKernelsExact(gb, *flat, randomQueries(16, 3, 10));
+    expectWalksExact(gb, *flat, randomQueries(16, 3, 10));
 }
 
 TEST(SimdWalk, AllKernelsMatchOnThresholdBoundaryQueries)
@@ -150,7 +147,7 @@ TEST(SimdWalk, AllKernelsMatchOnThresholdBoundaryQueries)
     // Train on a coarse grid so split thresholds land between (or at)
     // grid values, then query the exact grid points: x == threshold
     // ties and the NaN-goes-right convention must resolve identically
-    // in every kernel (the comparison is !(x <= t) in all of them).
+    // in every walk (the comparison is !(x <= t) in all of them).
     DataSet d(3);
     const double grid[] = {0.0, 0.25, 0.5, 0.75, 1.0};
     for (const double a : grid)
@@ -174,42 +171,7 @@ TEST(SimdWalk, AllKernelsMatchOnThresholdBoundaryQueries)
     // And a NaN lane: must take the right child at every split, same
     // as the interpreted walk.
     queries.push_back({std::nan(""), 0.5, std::nan("")});
-    expectKernelsExact(gb, *flat, queries);
-}
-
-TEST(SimdWalk, ForceKernelRoutesPredictAndBatch)
-{
-    BoostParams p;
-    p.maxTrees = 50;
-    p.convergencePatience = 0;
-    p.targetErrorPct = 0.0;
-    GradientBoost gb(p);
-    gb.train(bumpyData(250, 14));
-    const auto flat = gb.compile();
-    ASSERT_NE(flat, nullptr);
-
-    const auto queries = randomQueries(40, 5, 15);
-    std::vector<double> expected;
-    std::vector<double> packed;
-    for (const auto &q : queries) {
-        expected.push_back(gb.predict(q));
-        packed.insert(packed.end(), q.begin(), q.end());
-    }
-
-    const simd::Kernel previous = simd::active();
-    for (const simd::Kernel k : supportedKernels()) {
-        EXPECT_EQ(k, simd::forceKernel(k));
-        EXPECT_EQ(k, simd::active());
-        std::vector<double> out(queries.size(), 0.0);
-        flat->predictBatch(packed.data(), 5, queries.size(),
-                           out.data());
-        EXPECT_EQ(out, expected) << "kernel " << simd::kernelName(k);
-        for (size_t i = 0; i < queries.size(); ++i) {
-            EXPECT_EQ(expected[i],
-                      flat->predict(queries[i].data(), 5));
-        }
-    }
-    simd::forceKernel(previous);
+    expectWalksExact(gb, *flat, queries);
 }
 
 TEST(SimdWalk, ParallelPredictBatchSharedEnsemble)
@@ -259,88 +221,6 @@ TEST(SimdWalk, ParallelPredictBatchSharedEnsemble)
         w.join();
     for (size_t t = 0; t < kThreads; ++t)
         EXPECT_EQ(got[t], expected[t]) << "thread " << t;
-}
-
-TEST(SimdSelect, ParseNameCoversEveryDocumentedValue)
-{
-    bool recognized = false;
-    const simd::Kernel fb = simd::Kernel::Neon; // distinctive fallback
-
-    EXPECT_EQ(simd::Kernel::Scalar,
-              simd::parseName("off", fb, &recognized));
-    EXPECT_TRUE(recognized);
-    EXPECT_EQ(simd::Kernel::Scalar,
-              simd::parseName("scalar", fb, &recognized));
-    EXPECT_TRUE(recognized);
-    EXPECT_EQ(simd::Kernel::Avx2,
-              simd::parseName("avx2", fb, &recognized));
-    EXPECT_TRUE(recognized);
-    EXPECT_EQ(simd::Kernel::Neon,
-              simd::parseName("neon", fb, &recognized));
-    EXPECT_TRUE(recognized);
-    EXPECT_EQ(simd::Kernel::Serial,
-              simd::parseName("serial", fb, &recognized));
-    EXPECT_TRUE(recognized);
-
-    EXPECT_EQ(fb, simd::parseName(nullptr, fb, &recognized));
-    EXPECT_FALSE(recognized);
-    EXPECT_EQ(fb, simd::parseName("", fb, &recognized));
-    EXPECT_FALSE(recognized);
-    EXPECT_EQ(fb, simd::parseName("AVX2", fb, &recognized));
-    EXPECT_FALSE(recognized); // case-sensitive, like the docs say
-}
-
-TEST(SimdSelect, ResolveDegradesUnsupportedRequestsToScalar)
-{
-    // A supported request wins; an unsupported one degrades to Scalar
-    // and never to a *different* vector kernel.
-    EXPECT_EQ(simd::Kernel::Avx2,
-              simd::resolve(simd::Kernel::Avx2, true));
-    EXPECT_EQ(simd::Kernel::Scalar,
-              simd::resolve(simd::Kernel::Avx2, false));
-    EXPECT_EQ(simd::Kernel::Scalar,
-              simd::resolve(simd::Kernel::Neon, false));
-    EXPECT_EQ(simd::Kernel::Serial,
-              simd::resolve(simd::Kernel::Serial, true));
-}
-
-TEST(SimdSelect, CapabilityAndDefaultInvariants)
-{
-    // Serial and Scalar are promised everywhere; the vector kernels
-    // are mutually exclusive per architecture.
-    EXPECT_TRUE(simd::kernelSupported(simd::Kernel::Serial));
-    EXPECT_TRUE(simd::kernelSupported(simd::Kernel::Scalar));
-    EXPECT_FALSE(simd::kernelSupported(simd::Kernel::Avx2) &&
-                 simd::kernelSupported(simd::Kernel::Neon));
-
-    // detectBest is a capability fact (widest ISA, never Serial);
-    // defaultKernel is a policy fact (fastest measured, never Serial,
-    // and never an unsupported kernel).
-    EXPECT_NE(simd::Kernel::Serial, simd::detectBest());
-    EXPECT_TRUE(simd::kernelSupported(simd::detectBest()));
-    EXPECT_NE(simd::Kernel::Serial, simd::defaultKernel());
-    EXPECT_TRUE(simd::kernelSupported(simd::defaultKernel()));
-
-    // forceKernel caps unsupported requests exactly like DAC_SIMD.
-    const simd::Kernel previous = simd::active();
-    const simd::Kernel unsupported =
-        simd::kernelSupported(simd::Kernel::Avx2) ? simd::Kernel::Neon
-                                                  : simd::Kernel::Avx2;
-    EXPECT_EQ(simd::Kernel::Scalar, simd::forceKernel(unsupported));
-    EXPECT_EQ(simd::Kernel::Scalar, simd::active());
-    simd::forceKernel(previous);
-}
-
-TEST(SimdSelect, KernelNamesRoundTripThroughParse)
-{
-    for (const simd::Kernel k :
-         {simd::Kernel::Serial, simd::Kernel::Scalar, simd::Kernel::Avx2,
-          simd::Kernel::Neon}) {
-        bool recognized = false;
-        EXPECT_EQ(k, simd::parseName(simd::kernelName(k),
-                                     simd::Kernel::Scalar, &recognized));
-        EXPECT_TRUE(recognized) << simd::kernelName(k);
-    }
 }
 
 } // namespace

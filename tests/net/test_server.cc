@@ -129,21 +129,6 @@ TEST(TuningServer, EchoesOverTheWire)
     EXPECT_EQ(stats.protocolErrors, 0u);
 }
 
-TEST(TuningServer, PollBackendServes)
-{
-    StubBackend backend;
-    ServerOptions options;
-    options.poller = PollerKind::Poll;
-    TuningServer server(backend, options);
-    server.start();
-
-    Client client("127.0.0.1", server.port());
-    const auto response = client.request(makeRequest("WC", 10.0));
-    EXPECT_EQ(response.predictedTimeSec, 20.0);
-    client.close();
-    server.stop();
-}
-
 TEST(TuningServer, PipelinedFramesFormOneBatch)
 {
     StubBackend backend;

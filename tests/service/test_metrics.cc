@@ -1,4 +1,4 @@
-/** @file Tests for the service metrics registry. */
+/** @file Tests for the metrics registry (obs/metrics.h). */
 
 #include <gtest/gtest.h>
 
@@ -7,9 +7,9 @@
 #include <thread>
 #include <vector>
 
-#include "service/metrics.h"
+#include "obs/metrics.h"
 
-namespace dac::service {
+namespace dac::obs {
 namespace {
 
 TEST(Metrics, CountersAccumulate)
@@ -165,4 +165,4 @@ TEST(Metrics, ReportRendersEveryMetric)
 }
 
 } // namespace
-} // namespace dac::service
+} // namespace dac::obs

@@ -359,6 +359,25 @@ TEST(Rng, NormalHasRequestedMoments)
     EXPECT_NEAR(var, 9.0, 0.5);
 }
 
+TEST(Rng, NormalAtZeroStddevReturnsTheMean)
+{
+    // Noise-free simulator profiles draw with stddev 0, outside the
+    // std distribution's precondition. The draw returns the mean
+    // exactly and still advances the engine by one standard-normal
+    // draw, so the stream after it is the oracle's.
+    Rng rng(21);
+    OracleRng oracle(21);
+    EXPECT_EQ(bits(rng.normal(4.5, 0.0)), bits(4.5));
+    (void)oracle.normal(0.0, 1.0);
+    EXPECT_EQ(rng.raw(), oracle.raw());
+    EXPECT_EQ(bits(rng.normal(-2.0, 0.0)), bits(-2.0));
+    (void)oracle.normal(0.0, 1.0);
+    EXPECT_EQ(rng.raw(), oracle.raw());
+    EXPECT_EQ(bits(rng.lognormalFactor(0.0)), bits(1.0));
+    (void)oracle.normal(0.0, 1.0);
+    EXPECT_EQ(rng.raw(), oracle.raw());
+}
+
 TEST(Rng, LognormalFactorIsPositiveWithMedianOne)
 {
     Rng rng(13);
