@@ -3,8 +3,9 @@
  * Micro-benchmarks (google-benchmark): throughput of the substrate
  * pieces that bound the tuning pipeline — simulator runs, tree
  * training, model prediction, random draws, GA generations, and a
- * warm search at serving scale. The paper's Table 3 cost argument
- * rests on model queries being ~milliseconds.
+ * cold build's training and a warm search at serving scale. The
+ * paper's Table 3 cost argument rests on model queries being
+ * ~milliseconds.
  */
 
 #include <benchmark/benchmark.h>
@@ -253,8 +254,49 @@ BM_RngBernoulli(benchmark::State &state)
 }
 BENCHMARK(BM_RngBernoulli);
 
-/** A compiled HM at the serving stack's tuning scale (m=5 training
- *  sizes, k=16 runs each, nt=80 first-order trees) and the search's
+/** One key's training set at the serving stack's tuning scale:
+ *  TeraSort at m=5 training sizes, k=16 runs each. */
+const core::CollectResult &
+servingData()
+{
+    static const core::CollectResult data = [] {
+        const auto &w = workloads::Registry::instance().byAbbrev("TS");
+        core::Collector collector(simulator(), w);
+        return collector.collectAtSizes({25.6, 32.0, 40.0, 50.0, 62.5},
+                                        16, 7);
+    }();
+    return data;
+}
+
+/** The service's HM at that scale: nt=80 first-order trees. */
+ml::HmParams
+servingHmParams()
+{
+    ml::HmParams hm;
+    hm.firstOrder.maxTrees = 80;
+    return hm;
+}
+
+void
+BM_HmTrainServingScale(benchmark::State &state)
+{
+    // One cold build's training layer as the service runs it: HM
+    // (tc=5, up to three orders) on one key's collected set, then the
+    // holdout check. The layer the stack benchmark's dac.train_ms
+    // measures; items/s counts builds.
+    const auto &vectors = servingData().vectors;
+    const ml::HmParams hm = servingHmParams();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            core::buildAndValidate(core::ModelKind::HM, vectors, hm, true,
+                                   5)
+                .testErrorPct);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HmTrainServingScale)->Unit(benchmark::kMillisecond);
+
+/** A compiled HM trained on servingData() and the search's
  *  training-set seeds, as TuningService::process builds them. */
 struct ServingModel
 {
@@ -269,13 +311,10 @@ servingModel()
 {
     static const ServingModel sm = [] {
         const auto &w = workloads::Registry::instance().byAbbrev("TS");
-        core::Collector collector(simulator(), w);
-        const auto data = collector.collectAtSizes(
-            {25.6, 32.0, 40.0, 50.0, 62.5}, 16, 7);
-        ml::HmParams hm;
-        hm.firstOrder.maxTrees = 80;
+        const auto &data = servingData();
         ServingModel out{core::buildAndValidate(core::ModelKind::HM,
-                                                data.vectors, hm, true,
+                                                data.vectors,
+                                                servingHmParams(), true,
                                                 5),
                          nullptr,
                          {},

@@ -116,9 +116,6 @@ class DataView
     /** Pointer to view-row i's features (featureCount() doubles). */
     const double *row(size_t i) const { return base->row(remap(i)); }
 
-    /** Feature j of view-row i. */
-    double at(size_t i, size_t j) const { return base->at(remap(i), j); }
-
     /** Target of view-row i. */
     double target(size_t i) const
     {

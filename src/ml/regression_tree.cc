@@ -1,6 +1,7 @@
 #include "ml/regression_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -34,18 +35,29 @@ TreeBuilder::makeLeaf(const std::vector<size_t> &rows) const
     RegressionTree::Node leaf;
     double sum = 0.0;
     for (size_t r : rows)
-        sum += data->target(r);
+        sum += rowTarget[r];
     leaf.value = rows.empty() ? 0.0
         : sum / static_cast<double>(rows.size());
     return leaf;
 }
 
 void
-TreeBuilder::build(RegressionTree &tree, const DataView &data_in)
+TreeBuilder::build(RegressionTree &tree, const DataView &data)
 {
-    data = &data_in;
     params = &tree.params;
     rng = Rng(params->seed);
+    featureCount = data.featureCount();
+
+    // Resolve the view once: candidates, leaves and partitions then
+    // read rows through plain pointers instead of a remap and a
+    // bounds-checked DataSet call per row and pass.
+    const size_t n = data.size();
+    rowData.resize(n);
+    rowTarget.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+        rowData[i] = data.row(i);
+        rowTarget[i] = data.target(i);
+    }
 
     tree.nodes.clear();
     frontier.clear();
@@ -53,7 +65,7 @@ TreeBuilder::build(RegressionTree &tree, const DataView &data_in)
     const int all_slot = acquireSlot();
     {
         auto &all = rowPool[static_cast<size_t>(all_slot)];
-        all.resize(data->size());
+        all.resize(n);
         for (size_t i = 0; i < all.size(); ++i)
             all[i] = i;
         tree.nodes.push_back(makeLeaf(all));
@@ -76,9 +88,9 @@ TreeBuilder::build(RegressionTree &tree, const DataView &data_in)
         const int right_slot = acquireSlot();
         auto &left_rows = rowPool[static_cast<size_t>(left_slot)];
         auto &right_rows = rowPool[static_cast<size_t>(right_slot)];
+        const size_t feature = static_cast<size_t>(cand.feature);
         for (size_t r : rowPool[static_cast<size_t>(cand.rowsSlot)]) {
-            if (data->at(r, static_cast<size_t>(cand.feature)) <=
-                cand.threshold) {
+            if (rowData[r][feature] <= cand.threshold) {
                 left_rows.push_back(r);
             } else {
                 right_rows.push_back(r);
@@ -103,8 +115,14 @@ TreeBuilder::build(RegressionTree &tree, const DataView &data_in)
         node.threshold = cand.threshold;
         node.left = left_index;
         node.right = right_index;
-        ++splits;
 
+        if (++splits == params->treeComplexity) {
+            // The last split: its children would never be popped, so
+            // they are not scored (nor is rng drawn for them).
+            releaseSlot(left_slot);
+            releaseSlot(right_slot);
+            break;
+        }
         pushCandidate(left_index, left_slot);
         pushCandidate(right_index, right_slot);
     }
@@ -126,98 +144,115 @@ TreeBuilder::pushCandidate(int node_index, int rows_slot)
         return;
     }
 
-    const size_t feature_count = data->featureCount();
     if (params->featureSubset > 0 &&
-        static_cast<size_t>(params->featureSubset) < feature_count) {
+        static_cast<size_t>(params->featureSubset) < featureCount) {
         featureScratch = rng.sampleIndices(
-            feature_count, static_cast<size_t>(params->featureSubset));
+            featureCount, static_cast<size_t>(params->featureSubset));
         identityFeatures = 0;
-    } else if (identityFeatures != feature_count) {
-        featureScratch.resize(feature_count);
-        for (size_t f = 0; f < feature_count; ++f)
+    } else if (identityFeatures != featureCount) {
+        featureScratch.resize(featureCount);
+        for (size_t f = 0; f < featureCount; ++f)
             featureScratch[f] = f;
-        identityFeatures = feature_count;
+        identityFeatures = featureCount;
     }
 
-    // One fused scan: per-candidate-feature min/max and the target sum
-    // (the old code re-walked the rows once per feature for the range
-    // and once more for the sum).
+    // One fused scan: per-candidate-feature min/max and the target sum.
     constexpr double inf = std::numeric_limits<double>::infinity();
-    featLo.assign(featureScratch.size(), inf);
-    featHi.assign(featureScratch.size(), -inf);
+    const size_t kf = featureScratch.size();
+    featLo.assign(kf, inf);
+    featHi.assign(kf, -inf);
     double total_sum = 0.0;
     for (size_t r : rows) {
-        const double *x = data->row(r);
-        for (size_t k = 0; k < featureScratch.size(); ++k) {
+        const double *x = rowData[r];
+        for (size_t k = 0; k < kf; ++k) {
             const double v = x[featureScratch[k]];
             featLo[k] = std::min(featLo[k], v);
             featHi[k] = std::max(featHi[k], v);
         }
-        total_sum += data->target(r);
+        total_sum += rowTarget[r];
     }
     const double n = static_cast<double>(rows.size());
     const double base_score = total_sum * total_sum / n;
 
-    Candidate best;
-    best.nodeIndex = node_index;
-
-    // Histograms for every candidate feature fill in ONE row-major
-    // pass (rows are stored row-major, so the per-feature pass this
-    // replaces paid a cache line per value). Per-(row, feature) bin
-    // indices and the row-order accumulation into each bin are those
-    // of the per-feature scan, so split decisions are bit-identical.
+    // A feature constant over these rows has no boundary to split at;
+    // the rest keep their candidate order.
     const int bins = params->histogramBins;
-    const size_t kf = featureScratch.size();
-    binSum.assign(kf * static_cast<size_t>(bins), 0.0);
-    binCount.assign(kf * static_cast<size_t>(bins), 0.0);
-    featScale.resize(kf);
+    splitFeature.clear();
+    splitLo.clear();
+    splitScale.clear();
     for (size_t k = 0; k < kf; ++k) {
-        // 0 marks a constant feature: no bins, no split.
-        featScale[k] =
-            featHi[k] > featLo[k] ? bins / (featHi[k] - featLo[k]) : 0.0;
+        if (featHi[k] > featLo[k]) {
+            splitFeature.push_back(featureScratch[k]);
+            splitLo.push_back(featLo[k]);
+            splitScale.push_back(bins / (featHi[k] - featLo[k]));
+        }
     }
+    const size_t kv = splitFeature.size();
+    const size_t stride = static_cast<size_t>(bins);
+    const size_t words = (stride + 63) / 64;
+    if (binSum.size() < kv * stride) {
+        binSum.resize(kv * stride);
+        binCount.resize(kv * stride);
+    }
+    if (binOccupied.size() < kv * words)
+        binOccupied.resize(kv * words);
 
+    // Fill every feature's histogram in ONE row-major pass, summing
+    // each bin's targets in row order, and mark the bins it touches.
     for (size_t r : rows) {
-        const double *x = data->row(r);
-        const double y = data->target(r);
-        for (size_t k = 0; k < kf; ++k) {
-            const double scale = featScale[k];
-            if (scale == 0.0)
-                continue;
+        const double *x = rowData[r];
+        const double y = rowTarget[r];
+        for (size_t k = 0; k < kv; ++k) {
             int b = static_cast<int>(
-                (x[featureScratch[k]] - featLo[k]) * scale);
+                (x[splitFeature[k]] - splitLo[k]) * splitScale[k]);
             b = std::clamp(b, 0, bins - 1);
-            const size_t slot =
-                k * static_cast<size_t>(bins) + static_cast<size_t>(b);
+            const size_t slot = k * stride + static_cast<size_t>(b);
             binSum[slot] += y;
-            binCount[slot] += 1.0;
+            ++binCount[slot];
+            binOccupied[k * words + static_cast<size_t>(b) / 64] |=
+                uint64_t{1} << (b % 64);
         }
     }
 
-    for (size_t k = 0; k < kf; ++k) {
-        const double scale = featScale[k];
-        if (scale == 0.0)
-            continue;
-        const double lo = featLo[k];
-        const size_t base = k * static_cast<size_t>(bins);
-
+    // Scan only the occupied bins, in ascending order, zeroing each as
+    // it is consumed. Skipping an empty bin b changes no decision: its
+    // (left_sum, left_n) and so its gain equal those of the occupied
+    // bin before it (or fail minSamplesLeaf, or are 0/0 = NaN, when
+    // none is), and the strict `>` never takes an equal gain. The top
+    // bin holds the feature's maximum and is not a boundary.
+    Candidate best;
+    best.nodeIndex = node_index;
+    const double min_leaf = params->minSamplesLeaf;
+    for (size_t k = 0; k < kv; ++k) {
+        double *sum = binSum.data() + k * stride;
+        uint32_t *count = binCount.data() + k * stride;
+        uint64_t *occupied = binOccupied.data() + k * words;
         double left_sum = 0.0;
         double left_n = 0.0;
-        for (int b = 0; b < bins - 1; ++b) {
-            left_sum += binSum[base + static_cast<size_t>(b)];
-            left_n += binCount[base + static_cast<size_t>(b)];
-            const double right_n = n - left_n;
-            if (left_n < params->minSamplesLeaf ||
-                right_n < params->minSamplesLeaf) {
-                continue;
-            }
-            const double right_sum = total_sum - left_sum;
-            const double gain = left_sum * left_sum / left_n +
-                right_sum * right_sum / right_n - base_score;
-            if (gain > best.gain) {
-                best.gain = gain;
-                best.feature = static_cast<int>(featureScratch[k]);
-                best.threshold = lo + (b + 1) / scale;
+        for (size_t w = 0; w < words; ++w) {
+            uint64_t bits = occupied[w];
+            occupied[w] = 0;
+            while (bits != 0) {
+                const int b = static_cast<int>(w * 64) +
+                    std::countr_zero(bits);
+                bits &= bits - 1;
+                left_sum += sum[b];
+                left_n += count[b];
+                sum[b] = 0.0;
+                count[b] = 0;
+                if (b == bins - 1)
+                    break;
+                const double right_n = n - left_n;
+                if (left_n < min_leaf || right_n < min_leaf)
+                    continue;
+                const double right_sum = total_sum - left_sum;
+                const double gain = left_sum * left_sum / left_n +
+                    right_sum * right_sum / right_n - base_score;
+                if (gain > best.gain) {
+                    best.gain = gain;
+                    best.feature = static_cast<int>(splitFeature[k]);
+                    best.threshold = splitLo[k] + (b + 1) / splitScale[k];
+                }
             }
         }
     }

@@ -10,6 +10,7 @@
 #define DAC_ML_REGRESSION_TREE_H
 
 #include <cstdint>
+#include <vector>
 
 #include "ml/model.h"
 #include "support/random.h"
@@ -84,6 +85,9 @@ class RegressionTree : public Model
  * vectors) and reuses them across build() calls, so training a boosted
  * ensemble of thousands of trees through one builder performs no
  * steady-state heap allocation beyond the grown trees themselves.
+ * Scoring a candidate costs O(rows x features): the histograms are
+ * sparse (an occupancy mask per feature) and are left all-zero by the
+ * scan that reads them, so no candidate pays for its empty bins.
  * Split decisions are bit-identical for the same (data, params)
  * regardless of builder reuse. Not thread-safe; use one builder per
  * thread.
@@ -130,9 +134,12 @@ class TreeBuilder
     void releaseSlot(int slot);
 
     // Per-build() context (set at the top of build()).
-    const DataView *data = nullptr;
     const TreeParams *params = nullptr;
     Rng rng{1};
+    size_t featureCount = 0;
+    /** View row i's features and target, resolved once per build. */
+    std::vector<const double *> rowData;
+    std::vector<double> rowTarget;
 
     // Reusable scratch, warm across build() calls.
     std::vector<Candidate> frontier;          ///< heap via std::*_heap
@@ -142,8 +149,19 @@ class TreeBuilder
     /** featureScratch holds the identity list 0..n-1 iff n != 0. */
     size_t identityFeatures = 0;
     std::vector<double> featLo, featHi;       ///< fused min/max pass
-    std::vector<double> featScale;            ///< bins per value unit
-    std::vector<double> binSum, binCount;     ///< split histograms
+    /** The candidate features that vary over the node's rows, with
+     *  their minimum and bins per value unit. */
+    std::vector<size_t> splitFeature;
+    std::vector<double> splitLo, splitScale;
+    /**
+     * Split histograms, one row of `bins` per varying feature, and
+     * per-feature occupancy masks of (bins + 63) / 64 words. Every
+     * entry is zero between candidates: the scan clears what the fill
+     * set, so they are grown, never re-zeroed.
+     */
+    std::vector<double> binSum;
+    std::vector<uint32_t> binCount;
+    std::vector<uint64_t> binOccupied;
     size_t poolGrowths = 0;
 };
 

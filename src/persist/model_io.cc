@@ -58,6 +58,15 @@ readBoostParams(ByteReader &r)
     p.validationFraction = r.f64();
     p.seed = r.u64();
     p.targetIsLog = r.u8() != 0;
+    // The ml constructors assert these ranges; reject them here so a
+    // checksum-valid but out-of-range image is Corrupt instead of an
+    // assertion escaping decodeSnapshot.
+    if (p.maxTrees < 1)
+        corrupt("boost maxTrees below 1");
+    if (!(p.learningRate > 0.0 && p.learningRate <= 1.0))
+        corrupt("boost learning rate outside (0, 1]");
+    if (p.treeComplexity < 1)
+        corrupt("boost tree complexity below 1");
     return p;
 }
 
@@ -80,6 +89,10 @@ readTreeParams(ByteReader &r)
     p.histogramBins = r.i32();
     p.featureSubset = r.i32();
     p.seed = r.u64();
+    if (p.treeComplexity < 1)
+        corrupt("tree complexity below 1");
+    if (p.histogramBins < 2)
+        corrupt("tree histogram bins below 2");
     return p;
 }
 
@@ -107,6 +120,8 @@ readHmParams(ByteReader &r)
     p.seed = r.u64();
     p.targetIsLog = r.u8() != 0;
     p.cancel = nullptr;
+    if (p.maxOrder < 1)
+        corrupt("HM maxOrder below 1");
     return p;
 }
 

@@ -11,25 +11,28 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "ml/boosting.h"
 #include "ml/flat_ensemble.h"
+#include "ml/hm.h"
 #include "ml/log_target.h"
+#include "persist/model_io.h"
 #include "persist/snapshot.h"
+#include "support/checksum.h"
 #include "support/random.h"
 #include "support/units.h"
 
 namespace dac::persist {
 namespace {
 
-/** One real encoded snapshot (log-target GBRT + compiled ensemble,
- *  a few vectors) — every decoder branch is on its byte path. */
-std::vector<uint8_t>
-sampleImage()
+ml::DataSet
+sampleData()
 {
     ml::DataSet data(4);
     Rng rng(404);
@@ -38,7 +41,15 @@ sampleImage()
                                  rng.uniform(), rng.uniform()};
         data.addRow(x, 10.0 + 20.0 * x[0] + 5.0 * x[1] * x[2]);
     }
+    return data;
+}
 
+/** One real encoded snapshot (log-target GBRT + compiled ensemble,
+ *  a few vectors) — every decoder branch is on its byte path. */
+std::vector<uint8_t>
+sampleImage()
+{
+    const ml::DataSet data = sampleData();
     ml::BoostParams params;
     params.maxTrees = 6;
     params.convergencePatience = 0;
@@ -149,6 +160,131 @@ TEST(SnapshotCorruption, ArbitraryGarbageNeverCrashes)
         const auto result = decodeSnapshot(junk.data(), junk.size());
         EXPECT_NE(result.error, SnapshotError::None)
             << "accepted " << size << " bytes of noise";
+    }
+}
+
+/** Image of `model` alone: no vectors, no compiled form. */
+std::vector<uint8_t>
+modelImage(const ml::Model &model)
+{
+    const std::string workload = "TS";
+    const std::string cluster = "paper-testbed";
+    const core::TunerOverhead overhead;
+    const std::vector<core::PerfVector> vectors;
+    SnapshotView view;
+    view.workload = &workload;
+    view.cluster = &cluster;
+    view.overhead = &overhead;
+    view.vectors = &vectors;
+    view.model = &model;
+    return encodeSnapshot(view);
+}
+
+void
+putCrc(std::vector<uint8_t> &image, size_t at, uint32_t crc)
+{
+    for (size_t i = 0; i < 4; ++i)
+        image[at + i] = static_cast<uint8_t>(crc >> (8 * i));
+}
+
+std::vector<uint8_t>
+i32Bytes(int32_t v)
+{
+    ByteWriter w;
+    w.i32(v);
+    return w.take();
+}
+
+std::vector<uint8_t>
+f64Bytes(double v)
+{
+    ByteWriter w;
+    w.f64(v);
+    return w.take();
+}
+
+TEST(SnapshotCorruption, OutOfRangeModelParamsRejectedAsCorrupt)
+{
+    // Checksum-valid images carrying model parameters that the ml
+    // constructors reject by assertion. The loader must type them
+    // Corrupt: an assertion escaping decodeSnapshot would take down
+    // whatever restores snapshots (TuningService, dac_snap).
+    const ml::DataSet data = sampleData();
+    ml::RegressionTree tree(ml::TreeParams{.treeComplexity = 3});
+    tree.train(data);
+    ml::BoostParams bp;
+    bp.maxTrees = 4;
+    bp.convergencePatience = 0;
+    bp.targetErrorPct = 0.0;
+    ml::GradientBoost gbrt(bp);
+    gbrt.train(data);
+    ml::HmParams hp;
+    hp.firstOrder = bp;
+    hp.targetErrorPct = 0.0;
+    hp.maxOrder = 2;
+    ml::HierarchicalModel hm(hp);
+    hm.train(data);
+
+    // Byte offsets from each model's tag, in model_io.cc field order:
+    // a tree is tag, treeComplexity, minSamplesLeaf, histogramBins...;
+    // GBRT and HM bodies open with BoostParams (maxTrees, learningRate,
+    // treeComplexity, ...: 45 bytes), and the GBRT's first tree follows
+    // its baseline, error, metTarget and validation history.
+    const size_t firstTree =
+        1 + 45 + 8 + 8 + 1 + 4 + 8 * gbrt.validationHistory().size() + 4;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    struct Patch
+    {
+        const char *field;
+        const ml::Model *model;
+        size_t at;
+        std::vector<uint8_t> from;
+        std::vector<uint8_t> to;
+    };
+    const Patch patches[] = {
+        {"tree treeComplexity 0", &tree, 1, i32Bytes(3), i32Bytes(0)},
+        {"tree treeComplexity -1", &tree, 1, i32Bytes(3), i32Bytes(-1)},
+        {"tree histogramBins 1", &tree, 9, i32Bytes(32), i32Bytes(1)},
+        {"tree histogramBins 0", &tree, 9, i32Bytes(32), i32Bytes(0)},
+        {"GBRT first tree histogramBins 1", &gbrt, firstTree + 8,
+         i32Bytes(32), i32Bytes(1)},
+        {"GBRT maxTrees 0", &gbrt, 1, i32Bytes(4), i32Bytes(0)},
+        {"GBRT learningRate 0", &gbrt, 5, f64Bytes(0.05), f64Bytes(0.0)},
+        {"GBRT learningRate -0.5", &gbrt, 5, f64Bytes(0.05),
+         f64Bytes(-0.5)},
+        {"GBRT learningRate 1.5", &gbrt, 5, f64Bytes(0.05),
+         f64Bytes(1.5)},
+        {"GBRT learningRate NaN", &gbrt, 5, f64Bytes(0.05),
+         f64Bytes(nan)},
+        {"GBRT treeComplexity 0", &gbrt, 13, i32Bytes(5), i32Bytes(0)},
+        {"HM first-order maxTrees 0", &hm, 1, i32Bytes(4), i32Bytes(0)},
+        {"HM maxOrder 0", &hm, 1 + 45 + 8, i32Bytes(2), i32Bytes(0)},
+        {"HM maxOrder -7", &hm, 1 + 45 + 8, i32Bytes(2), i32Bytes(-7)},
+    };
+    for (const Patch &p : patches) {
+        auto image = modelImage(*p.model);
+        ASSERT_TRUE(decodeSnapshot(image.data(), image.size()).ok())
+            << p.field;
+        ByteWriter w;
+        ModelIo::writeModel(w, *p.model);
+        const auto model = std::search(image.begin(), image.end(),
+                                       w.bytes().begin(), w.bytes().end());
+        ASSERT_NE(model, image.end()) << p.field;
+        const auto field = model + static_cast<ptrdiff_t>(p.at);
+        ASSERT_TRUE(std::equal(p.from.begin(), p.from.end(), field))
+            << p.field << ": offset does not hold the field";
+        std::copy(p.to.begin(), p.to.end(), field);
+        putCrc(image, 16,
+               crc32c(image.data() + SnapshotHeader::kBytes,
+                      image.size() - SnapshotHeader::kBytes));
+        putCrc(image, 28, crc32c(image.data(), 28));
+
+        SnapshotLoadResult result;
+        ASSERT_NO_THROW(result = decodeSnapshot(image.data(), image.size()))
+            << p.field;
+        EXPECT_EQ(result.error, SnapshotError::Corrupt)
+            << p.field << ": " << snapshotErrorName(result.error);
+        EXPECT_EQ(result.snapshot.model, nullptr) << p.field;
     }
 }
 

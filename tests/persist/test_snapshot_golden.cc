@@ -248,6 +248,20 @@ TEST(SnapshotGolden, HmFixtureReencodesByteIdentically)
     EXPECT_TRUE(reencoded == image);
 }
 
+TEST(SnapshotGolden, RetrainReproducesFixtureBytes)
+{
+    // The fixtures above pin loading; this pins training. The same
+    // data and params must grow the committed models bit for bit, so
+    // a drift in split finding or boosting fails here even when every
+    // decoder is unchanged. (The HM is log-target: its training calls
+    // log()/exp(), so its bytes also assume the libm the fixture was
+    // made with.)
+    EXPECT_TRUE(encodeGolden(*goldenGbrt(), "TS") ==
+                readFixture("golden_gbrt.dacsnap"));
+    EXPECT_TRUE(encodeGolden(*goldenHm(), "KM") ==
+                readFixture("golden_hm.dacsnap"));
+}
+
 TEST(SnapshotGolden, BumpedVersionRejectedAsBadVersion)
 {
     auto image = readFixture("golden_gbrt.dacsnap");
