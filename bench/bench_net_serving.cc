@@ -4,17 +4,13 @@
  *
  * Three phases:
  *
- *  1. Cache hammer: multithreaded lookups against a hot ModelCache,
- *     single shard vs sharded, isolating what the sharded store buys
- *     on the serving hot path (the GA search dominates full requests,
- *     so the cache win is measured directly).
- *  2. Client sweep: N closed-loop clients (one TCP connection each,
+ *  1. Client sweep: N closed-loop clients (one TCP connection each,
  *     one request in flight each) against a live TuningServer for a
  *     fixed duration per point, reporting p50/p95/p99 latency and
  *     throughput; the saturation throughput is the sweep's maximum.
- *  3. Pipelined batches: the same traffic but B requests per wire
+ *  2. Pipelined batches: the same traffic but B requests per wire
  *     write, exercising the one-readiness-cycle batch path end to end.
- *  4. Observability overhead: two fresh in-process stacks, one with
+ *  3. Observability overhead: two fresh in-process stacks, one with
  *     the full observability pipeline on (tracing, flight recorder,
  *     RED metrics + phase histograms) and one with all of it off,
  *     driven with identical load; both rows print so the cost of
@@ -29,8 +25,7 @@
  *                          [--connect=HOST:PORT] [--out=FILE]
  *
  *   --connect=HOST:PORT  drive an already-running server (CI's
- *                        net-smoke job) instead of an in-process one;
- *                        the cache-hammer phase is skipped
+ *                        net-smoke job) instead of an in-process one
  *   --out=FILE           write the latency/throughput results as JSON
  *
  * Exits non-zero when no request succeeds (smoke-test contract).
@@ -49,7 +44,6 @@
 #include "net/server.h"
 #include "obs/flight_recorder.h"
 #include "obs/tracer.h"
-#include "service/model_cache.h"
 #include "service/service.h"
 #include "support/random.h"
 #include "support/string_utils.h"
@@ -228,47 +222,6 @@ runSweepPoint(const std::string &host, uint16_t port, size_t clients,
     return out;
 }
 
-/** Hot-key lookup ops/sec against a cache with `shards` shards. */
-double
-hammerCache(size_t shards, size_t threads, double seconds)
-{
-    // 16 hot keys spread over the shard space. Capacity is generous:
-    // keys hash unevenly across shards, and an overflowing shard would
-    // silently evict hot keys and measure misses instead of lookups.
-    service::ModelCache cache(256, shards);
-    std::vector<service::ModelKey> keys;
-    for (int i = 0; i < 16; ++i) {
-        service::ModelKey key{"W" + std::to_string(i), "hammer", 4};
-        cache.insert(key, std::make_shared<service::CachedModel>());
-        keys.push_back(key);
-    }
-    const ZipfSampler zipf(keys.size());
-    std::vector<uint64_t> ops(threads, 0);
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration<double>(seconds);
-    for (size_t t = 0; t < threads; ++t) {
-        workers.emplace_back([&, t]() {
-            Rng rng(combineSeed(0xca4e, t));
-            while (std::chrono::steady_clock::now() < deadline) {
-                // Batch the clock check: it would otherwise dominate.
-                for (int i = 0; i < 512; ++i) {
-                    const auto hit = cache.lookup(keys[zipf.draw(rng)]);
-                    if (hit != nullptr)
-                        ++ops[t];
-                }
-            }
-        });
-    }
-    for (auto &worker : workers)
-        worker.join();
-    uint64_t total = 0;
-    for (const uint64_t n : ops)
-        total += n;
-    return static_cast<double>(total) / seconds;
-}
-
 /** Tuner knobs shared by every in-process stack the bench builds. */
 service::ServiceOptions
 benchServiceOptions()
@@ -308,7 +261,7 @@ warmMix(const std::string &host, uint16_t port)
 }
 
 /**
- * Phase 4 worker: serving throughput of a fresh in-process stack with
+ * Phase 3 worker: serving throughput of a fresh in-process stack with
  * the observability pipeline fully on or fully off. Fresh stacks per
  * mode so one mode's histograms and rings cannot pollute the other;
  * identical seed so both modes draw the same request sequence.
@@ -366,8 +319,7 @@ appendBenchEntry(std::ostream &out, bool &first, const std::string &name,
 
 void
 writeJson(const std::string &path, const std::vector<SweepResult> &sweep,
-          double saturation_rps, double hammer_single_ops,
-          double hammer_sharded_ops, const SweepResult &obs_off,
+          double saturation_rps, const SweepResult &obs_off,
           const SweepResult &obs_on)
 {
     std::ofstream out(path);
@@ -386,9 +338,6 @@ writeJson(const std::string &path, const std::vector<SweepResult> &sweep,
     }
     out << "  ],\n";
     out << "  \"saturation_rps\": " << saturation_rps << ",\n";
-    out << "  \"cache_hammer\": {\"single_shard_ops\": "
-        << hammer_single_ops
-        << ", \"sharded_ops\": " << hammer_sharded_ops << "},\n";
     if (obs_off.ok > 0 || obs_on.ok > 0) {
         out << "  \"obs_overhead\": {\"off_rps\": "
             << obs_off.throughput()
@@ -398,10 +347,6 @@ writeJson(const std::string &path, const std::vector<SweepResult> &sweep,
     // tools/check_bench_regression gates on in perf-smoke.
     out << "  \"benchmarks\": [";
     bool first = true;
-    appendBenchEntry(out, first, "cache_hammer/shards:1",
-                     nsPerOp(hammer_single_ops), 1);
-    appendBenchEntry(out, first, "cache_hammer/shards:8",
-                     nsPerOp(hammer_sharded_ops), 1);
     for (const SweepResult &r : sweep) {
         appendBenchEntry(out, first,
                          "serving/clients:" + std::to_string(r.clients) +
@@ -452,29 +397,7 @@ main(int argc, char **argv)
 
     printBanner(std::cout, "wire serving layer: closed-loop load");
 
-    // Phase 1: the sharded store in isolation (skipped when driving an
-    // external server — the cache lives in that process).
-    double hammerSingle = 0.0;
-    double hammerSharded = 0.0;
-    if (connect.empty()) {
-        // One thread per real core: oversubscribing a small box makes
-        // the contended single mutex look good for the wrong reason
-        // (sleeping waiters hand the whole cache to the lock holder).
-        const size_t hammerThreads =
-            std::max<size_t>(1, std::thread::hardware_concurrency());
-        hammerSingle = hammerCache(1, hammerThreads, 1.0);
-        hammerSharded = hammerCache(8, hammerThreads, 1.0);
-        std::cout << "model cache, " << hammerThreads
-                  << " threads on 16 hot keys:\n"
-                  << "  1 shard : " << formatDouble(hammerSingle, 0)
-                  << " lookups/s\n"
-                  << "  8 shards: " << formatDouble(hammerSharded, 0)
-                  << " lookups/s  ("
-                  << formatDouble(hammerSharded / hammerSingle, 2)
-                  << "x)\n\n";
-    }
-
-    // Phase 2: the server. In-process by default; --connect drives one
+    // Phase 1: the server. In-process by default; --connect drives one
     // that is already listening (CI's net-smoke job).
     std::string host = "127.0.0.1";
     uint16_t port = 0;
@@ -524,7 +447,7 @@ main(int argc, char **argv)
         sweep.push_back(r);
     }
 
-    // Phase 3: pipelined batches — B frames per write, drained by the
+    // Phase 2: pipelined batches — B frames per write, drained by the
     // server in one readiness cycle and answered via submitBatch.
     if (pipelineBatch > 1) {
         const size_t clients =
@@ -555,7 +478,7 @@ main(int argc, char **argv)
         service->shutdown();
     }
 
-    // Phase 4: observability overhead, in-process only (an external
+    // Phase 3: observability overhead, in-process only (an external
     // server's obs state is not ours to toggle).
     SweepResult obsOff;
     SweepResult obsOn;
@@ -590,8 +513,7 @@ main(int argc, char **argv)
     }
 
     if (!outPath.empty()) {
-        writeJson(outPath, sweep, saturation, hammerSingle,
-                  hammerSharded, obsOff, obsOn);
+        writeJson(outPath, sweep, saturation, obsOff, obsOn);
         std::cout << "wrote " << outPath << "\n";
     }
 

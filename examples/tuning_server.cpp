@@ -40,7 +40,7 @@
  *
  * The server always publishes live stats: a Stats frame (or dac_top)
  * returns the full registry — RED metrics per event loop, per-phase
- * latency histograms, model-cache shard counters — as Prometheus text
+ * latency histograms, model-cache counters — as Prometheus text
  * or JSON.
  */
 
@@ -60,6 +60,7 @@
 #include "obs/summary.h"
 #include "obs/tracer.h"
 #include "service/service.h"
+#include "support/json.h"
 #include "support/string_utils.h"
 #include "support/table.h"
 #include "support/units.h"
@@ -190,7 +191,7 @@ main(int argc, char **argv)
         server.setSnapshotProvider(
             [&service, &snapshot_dir](net::SnapshotOp op) {
                 std::ostringstream json;
-                json << "{\"dir\":\"" << snapshot_dir << "\"";
+                json << "{\"dir\":\"" << jsonEscape(snapshot_dir) << "\"";
                 if (op == net::SnapshotOp::Persist) {
                     const auto io = service.snapshotNow();
                     json << ",\"op\":\"persist\",\"saved\":" << io.saved
@@ -199,8 +200,7 @@ main(int argc, char **argv)
                     const auto stats = service.cacheStats();
                     json << ",\"op\":\"inspect\",\"cachedModels\":"
                          << stats.size << ",\"capacity\":"
-                         << stats.capacity << ",\"shards\":"
-                         << stats.shards;
+                         << stats.capacity;
                 }
                 json << "}";
                 return json.str();
@@ -210,8 +210,7 @@ main(int argc, char **argv)
 
     std::cout << "tuning service up: " << threads << " worker(s), "
               << loops << " event loop(s), model cache capacity "
-              << options.modelCacheCapacity << " across "
-              << options.modelCacheShards << " shard(s), listening on "
+              << options.modelCacheCapacity << ", listening on "
               << sopt.host << ":" << server.port() << "\n\n";
 
     if (serve) {

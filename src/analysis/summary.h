@@ -60,7 +60,7 @@ struct CallSite
 /** One RAII lock acquisition (`std::lock_guard<..> g(expr)`). */
 struct LockAcquisition
 {
-    /** Canonical lock identity, e.g. "ModelCache::shard.mutex". */
+    /** Canonical lock identity, e.g. "ModelCache::mutex". */
     std::string lockId;
     /** Guard type ("lock_guard", "unique_lock", ...). */
     std::string guard;

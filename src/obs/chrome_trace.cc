@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/json.h"
 #include "support/logging.h"
 #include "support/units.h"
 
@@ -37,33 +38,6 @@ appendArgs(
 }
 
 } // namespace
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const unsigned char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-                out += buffer;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 toChromeTraceJson(const TraceLog &log)

@@ -22,9 +22,6 @@ namespace dac::obs {
 /** toChromeTraceJson() written to a file; fatalError() on I/O error. */
 void writeChromeTrace(const TraceLog &log, const std::string &path);
 
-/** Escape a string for embedding in a JSON string literal. */
-[[nodiscard]] std::string jsonEscape(const std::string &text);
-
 } // namespace dac::obs
 
 #endif // DAC_OBS_CHROME_TRACE_H

@@ -23,11 +23,10 @@ steadyNowNs()
 }
 
 constexpr uint32_t
-packFields(FlightPhase phase, FlightReason reason, uint16_t shard)
+packFields(FlightPhase phase, FlightReason reason)
 {
-    return (static_cast<uint32_t>(phase) << 24U) |
-        (static_cast<uint32_t>(reason) << 16U) |
-        static_cast<uint32_t>(shard);
+    return (static_cast<uint32_t>(phase) << 8U) |
+        static_cast<uint32_t>(reason);
 }
 
 std::string
@@ -112,26 +111,49 @@ FlightRecorder::setEnabled(bool on)
     enabledFlag.store(on, std::memory_order_relaxed);
 }
 
+struct FlightRecorder::RingLease
+{
+    ThreadRing *ring = nullptr;
+
+    RingLease() = default;
+    RingLease(const RingLease &) = delete;
+    RingLease &operator=(const RingLease &) = delete;
+
+    /** Runs at thread exit: the ring (and the records in it) goes to
+     *  the next new thread. Rings are never freed, so dumps still see
+     *  this thread's records until the next holder overwrites them. */
+    ~RingLease()
+    {
+        if (ring == nullptr)
+            return;
+        FlightRecorder &recorder = instance();
+        std::lock_guard<std::mutex> lock(recorder.registryMutex);
+        recorder.freeRings.push_back(ring);
+    }
+};
+
 FlightRecorder::ThreadRing &
 FlightRecorder::threadRing()
 {
-    // One cached pointer per (thread, process); rings are never freed,
-    // so the cache cannot dangle.
-    thread_local ThreadRing *ring = nullptr;
-    if (ring == nullptr) {
-        auto fresh = std::make_unique<ThreadRing>();
+    thread_local RingLease lease;
+    if (lease.ring == nullptr) {
         std::lock_guard<std::mutex> lock(registryMutex);
-        fresh->lane = static_cast<uint32_t>(rings.size());
-        rings.push_back(std::move(fresh));
-        ring = rings.back().get();
+        if (freeRings.empty()) {
+            auto fresh = std::make_unique<ThreadRing>();
+            fresh->lane = static_cast<uint32_t>(rings.size());
+            rings.push_back(std::move(fresh));
+            lease.ring = rings.back().get();
+        } else {
+            lease.ring = freeRings.back();
+            freeRings.pop_back();
+        }
     }
-    return *ring;
+    return *lease.ring;
 }
 
 void
 FlightRecorder::record(uint64_t request_id, FlightPhase phase,
-                       double value_sec, FlightReason reason,
-                       uint16_t shard)
+                       double value_sec, FlightReason reason)
 {
     if (!enabled())
         return;
@@ -147,7 +169,7 @@ FlightRecorder::record(uint64_t request_id, FlightPhase phase,
     slot.seq.store(seq + 1, std::memory_order_release);
     slot.tsNs.store(steadyNowNs(), std::memory_order_relaxed);
     slot.requestId.store(request_id, std::memory_order_relaxed);
-    slot.packed.store(packFields(phase, reason, shard),
+    slot.packed.store(packFields(phase, reason),
                       std::memory_order_relaxed);
     slot.valueBits.store(std::bit_cast<uint64_t>(value_sec),
                          std::memory_order_relaxed);
@@ -193,10 +215,8 @@ FlightRecorder::snapshot(double window_sec) const
             FlightRecord record;
             record.ageSec = nsToSec(static_cast<double>(nowNs - tsNs));
             record.requestId = requestId;
-            record.phase = static_cast<FlightPhase>(packed >> 24U);
-            record.reason =
-                static_cast<FlightReason>((packed >> 16U) & 0xFFU);
-            record.shard = static_cast<uint16_t>(packed & 0xFFFFU);
+            record.phase = static_cast<FlightPhase>(packed >> 8U);
+            record.reason = static_cast<FlightReason>(packed & 0xFFU);
             record.lane = ring->lane;
             record.valueSec = std::bit_cast<double>(valueBits);
             out.push_back(record);
@@ -237,8 +257,7 @@ FlightRecorder::dumpJson(double window_sec, size_t max_records) const
             out << ",\"reason\":\"" << flightReasonName(record.reason)
                 << "\"";
         }
-        out << ",\"shard\":" << record.shard
-            << ",\"lane\":" << record.lane << ",\"value_sec\":"
+        out << ",\"lane\":" << record.lane << ",\"value_sec\":"
             << formatJsonNumber(record.valueSec) << "}";
         first = false;
     }

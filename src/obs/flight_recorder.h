@@ -2,7 +2,7 @@
  * @file
  * The serving stack's black box: a per-thread lock-free ring buffer of
  * compact fixed-size flight records (request id, lifecycle phase,
- * cache shard, degradation reason), always on at near-zero cost.
+ * degradation reason), always on at near-zero cost.
  *
  * Unlike the Tracer (opt-in, allocating, meant for offline flame
  * views), the flight recorder is meant to be running when something
@@ -13,11 +13,15 @@
  * degraded/rejected response (rate-limited, via requestDump), or the
  * wire admin frame (net::MsgType::FlightDump).
  *
- * Concurrency: each ring is written only by its owning thread; dumping
- * threads read it through a per-slot sequence counter (odd while a
- * write is in flight), so a torn slot is detected and skipped rather
- * than misreported. All slot fields are relaxed atomics — the recorder
- * is diagnostics, not synchronization.
+ * Concurrency: each ring is written only by the thread that holds it;
+ * dumping threads read it through a per-slot sequence counter (odd
+ * while a write is in flight), so a torn slot is detected and skipped
+ * rather than misreported. All slot fields are relaxed atomics — the
+ * recorder is diagnostics, not synchronization. A thread hands its
+ * ring back when it exits and the next new thread takes it over, so
+ * threads alive at the same time never share a ring, while a process
+ * that starts and joins threads keeps as many rings as it ever had
+ * threads alive at once.
  */
 
 #ifndef DAC_OBS_FLIGHT_RECORDER_H
@@ -40,7 +44,7 @@ enum class FlightPhase : uint8_t {
     QueueEnter = 1,
     /** A worker picked the request up (value = queue wait). */
     QueueExit = 2,
-    /** Model-cache lookup settled (shard field says where). */
+    /** Model-cache lookup settled (value = coordination time). */
     CacheLookup = 3,
     /** Collect+train campaign finished (value = build seconds). */
     ModelBuild = 4,
@@ -83,9 +87,8 @@ struct FlightRecord
     uint64_t requestId = 0;
     FlightPhase phase = FlightPhase::Decode;
     FlightReason reason = FlightReason::None;
-    /** ModelCache shard involved (0 when not a cache event). */
-    uint16_t shard = 0;
-    /** Recording thread's lane index. */
+    /** Index of the ring the record came from. Successive threads
+     *  can share a lane; threads alive together never do. */
     uint32_t lane = 0;
     /** Phase-specific payload, usually a duration in seconds. */
     double valueSec = 0.0;
@@ -120,8 +123,7 @@ class FlightRecorder
      *  a clock read plus a few relaxed stores when enabled. */
     static void record(uint64_t request_id, FlightPhase phase,
                        double value_sec = 0.0,
-                       FlightReason reason = FlightReason::None,
-                       uint16_t shard = 0);
+                       FlightReason reason = FlightReason::None);
 
     /** Records accepted since process start (monotonic; the
      *  zero-overhead test pins this flat while disabled). */
@@ -183,29 +185,35 @@ class FlightRecorder
         std::atomic<uint64_t> seq{0};
         std::atomic<int64_t> tsNs{0};
         std::atomic<uint64_t> requestId{0};
-        /** phase << 24 | reason << 16 | shard. */
+        /** phase << 8 | reason. */
         std::atomic<uint32_t> packed{0};
         std::atomic<uint64_t> valueBits{0};
     };
 
-    /** One thread's ring; written only by its owner. */
+    /** One thread's ring; written only by the thread holding it. */
     struct ThreadRing
     {
         Slot slots[kRingSlots];
-        /** Next slot to write (owner thread only). */
+        /** Next slot to write (holding thread only). */
         size_t head = 0;
         uint32_t lane = 0;
     };
 
+    /** A thread's hold on its ring; returns it on thread exit. */
+    struct RingLease;
+
     FlightRecorder() = default;
 
-    /** This thread's ring, registering it on first use. */
+    /** This thread's ring: on first use, one an exited thread handed
+     *  back, or a new one. */
     ThreadRing &threadRing();
 
     inline static std::atomic<bool> enabledFlag{true};
 
-    mutable std::mutex registryMutex; ///< guards rings list
+    mutable std::mutex registryMutex; ///< guards rings and freeRings
     std::vector<std::unique_ptr<ThreadRing>> rings;
+    /** Rings of exited threads; the newest is handed out first. */
+    std::vector<ThreadRing *> freeRings;
     std::atomic<uint64_t> records{0};
 
     mutable std::mutex dumpMutex; ///< guards dump dir + last-dump time

@@ -107,7 +107,7 @@ struct ModelSnapshot
 };
 
 /**
- * Borrowed view of the same fields, so a cache shard can encode an
+ * Borrowed view of the same fields, so the model cache can encode an
  * entry it holds by shared_ptr without copying model or vectors.
  * `compiled` may be null (the loader recompiles); `model` must not be.
  */

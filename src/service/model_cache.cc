@@ -24,9 +24,8 @@ ModelKey::toString() const
 uint64_t
 ModelKey::stableHash() const
 {
-    // SplitMix64-fold the fields directly (no toString(): this runs on
-    // every cache routing decision and must not allocate). The length
-    // fold between fields keeps ("ab","c") and ("a","bc") distinct.
+    // SplitMix64-fold each field. The length fold between fields keeps
+    // ("ab","c") and ("a","bc") distinct.
     uint64_t h = 0x9e3779b97f4a7c15ULL;
     const auto foldString = [&h](const std::string &text) {
         for (const char c : text)
@@ -58,58 +57,31 @@ ModelCache::Stats::hitRate() const
         : 0.0;
 }
 
-ModelCache::ModelCache(size_t capacity, size_t shard_count)
-    : totalCapacity(capacity)
+ModelCache::ModelCache(size_t capacity) : capacity(capacity)
 {
     DAC_ASSERT(capacity > 0, "model cache needs capacity >= 1");
-    DAC_ASSERT(shard_count > 0, "model cache needs shards >= 1");
-    shards.reserve(shard_count);
-    for (size_t i = 0; i < shard_count; ++i) {
-        auto shard = std::make_unique<Shard>();
-        // Even distribution, remainder to the low shards; never below
-        // one model or a hot shard could cache nothing at all.
-        const size_t base = capacity / shard_count;
-        const size_t extra = i < capacity % shard_count ? 1 : 0;
-        shard->capacity = std::max<size_t>(1, base + extra);
-        shards.push_back(std::move(shard));
-    }
-}
-
-size_t
-ModelCache::shardIndexFor(const ModelKey &key, size_t shards)
-{
-    DAC_ASSERT(shards > 0, "shard routing needs shards >= 1");
-    return static_cast<size_t>(key.stableHash() % shards);
-}
-
-ModelCache::Shard &
-ModelCache::shardFor(const ModelKey &key)
-{
-    return *shards[shardIndexFor(key, shards.size())];
 }
 
 std::shared_ptr<const CachedModel>
 ModelCache::getOrBuild(const ModelKey &key, const Builder &build)
 {
-    Shard &shard = shardFor(key);
     std::promise<std::shared_ptr<const CachedModel>> promise;
     {
-        std::unique_lock<std::mutex> lock(shard.mutex);
-        if (auto found = findLocked(shard, key)) {
-            ++shard.hits;
+        std::unique_lock<std::mutex> lock(mutex);
+        if (auto found = findLocked(key)) {
+            ++hits;
             return found;
         }
-        if (const auto it = shard.inflight.find(key);
-            it != shard.inflight.end()) {
+        if (const auto it = inflight.find(key); it != inflight.end()) {
             // Another caller is already building this model; wait for
             // it outside the lock and share the result.
-            ++shard.coalesced;
+            ++coalesced;
             auto shared = it->second;
             lock.unlock();
             return shared.get();
         }
-        ++shard.misses;
-        shard.inflight.emplace(key, promise.get_future().share());
+        ++misses;
+        inflight.emplace(key, promise.get_future().share());
     }
 
     std::shared_ptr<const CachedModel> built;
@@ -117,16 +89,16 @@ ModelCache::getOrBuild(const ModelKey &key, const Builder &build)
         built = build();
         DAC_ASSERT(built != nullptr, "model builder returned nullptr");
     } catch (...) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.inflight.erase(key);
+        std::lock_guard<std::mutex> lock(mutex);
+        inflight.erase(key);
         promise.set_exception(std::current_exception());
         throw;
     }
 
     {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        insertLocked(shard, key, built);
-        shard.inflight.erase(key);
+        std::lock_guard<std::mutex> lock(mutex);
+        insertLocked(key, built);
+        inflight.erase(key);
     }
     promise.set_value(built);
     return built;
@@ -135,13 +107,12 @@ ModelCache::getOrBuild(const ModelKey &key, const Builder &build)
 std::shared_ptr<const CachedModel>
 ModelCache::lookup(const ModelKey &key)
 {
-    Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto found = findLocked(shard, key)) {
-        ++shard.hits;
+    std::lock_guard<std::mutex> lock(mutex);
+    if (auto found = findLocked(key)) {
+        ++hits;
         return found;
     }
-    ++shard.misses;
+    ++misses;
     return nullptr;
 }
 
@@ -150,64 +121,36 @@ ModelCache::insert(const ModelKey &key,
                    std::shared_ptr<const CachedModel> model)
 {
     DAC_ASSERT(model != nullptr, "inserted a null model");
-    Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    insertLocked(shard, key, std::move(model));
+    std::lock_guard<std::mutex> lock(mutex);
+    insertLocked(key, std::move(model));
 }
 
 void
 ModelCache::clear()
 {
-    for (auto &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        shard->entries.clear();
-        shard->index.clear();
-    }
+    std::lock_guard<std::mutex> lock(mutex);
+    entries.clear();
+    index.clear();
 }
 
 size_t
 ModelCache::size() const
 {
-    size_t total = 0;
-    for (const auto &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->entries.size();
-    }
-    return total;
+    std::lock_guard<std::mutex> lock(mutex);
+    return entries.size();
 }
 
 ModelCache::Stats
 ModelCache::stats() const
 {
     Stats out;
-    out.capacity = totalCapacity;
-    out.shards = shards.size();
-    for (const auto &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        out.hits += shard->hits;
-        out.misses += shard->misses;
-        out.coalesced += shard->coalesced;
-        out.evictions += shard->evictions;
-        out.size += shard->entries.size();
-    }
-    return out;
-}
-
-ModelCache::Stats
-ModelCache::shardStats(size_t shard_index) const
-{
-    DAC_ASSERT(shard_index < shards.size(),
-               "shard index out of range");
-    const Shard &shard = *shards[shard_index];
-    Stats out;
-    out.shards = 1;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    out.hits = shard.hits;
-    out.misses = shard.misses;
-    out.coalesced = shard.coalesced;
-    out.evictions = shard.evictions;
-    out.size = shard.entries.size();
-    out.capacity = shard.capacity;
+    out.capacity = capacity;
+    std::lock_guard<std::mutex> lock(mutex);
+    out.hits = hits;
+    out.misses = misses;
+    out.coalesced = coalesced;
+    out.evictions = evictions;
+    out.size = entries.size();
     return out;
 }
 
@@ -215,11 +158,10 @@ std::vector<ModelKey>
 ModelCache::keysByRecency() const
 {
     std::vector<ModelKey> keys;
-    for (const auto &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        for (const auto &[key, model] : shard->entries)
-            keys.push_back(key);
-    }
+    std::lock_guard<std::mutex> lock(mutex);
+    keys.reserve(entries.size());
+    for (const auto &[key, model] : entries)
+        keys.push_back(key);
     return keys;
 }
 
@@ -267,24 +209,21 @@ ModelCache::writeSnapshot(const std::string &dir, const ModelKey &key,
 ModelCache::SnapshotIo
 ModelCache::snapshotTo(const std::string &dir) const
 {
+    // Copy the entries under the lock (cheap: keys plus shared_ptrs),
+    // then hit the disk without holding it.
+    std::vector<Entry> snapshot;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        snapshot.assign(entries.begin(), entries.end());
+    }
     SnapshotIo io;
-    for (const auto &shard : shards) {
-        // Copy the shard's entries under its lock (cheap: keys plus
-        // shared_ptrs), then hit the disk without holding it.
-        std::vector<Entry> entries;
-        {
-            std::lock_guard<std::mutex> lock(shard->mutex);
-            entries.assign(shard->entries.begin(), shard->entries.end());
-        }
-        for (const auto &[key, model] : entries) {
-            std::string error;
-            if (writeSnapshot(dir, key, *model, &error)) {
-                ++io.saved;
-            } else {
-                ++io.failed;
-                warn("snapshot of " + key.toString() + " failed: " +
-                     error);
-            }
+    for (const auto &[key, model] : snapshot) {
+        std::string error;
+        if (writeSnapshot(dir, key, *model, &error)) {
+            ++io.saved;
+        } else {
+            ++io.failed;
+            warn("snapshot of " + key.toString() + " failed: " + error);
         }
     }
     return io;
@@ -336,33 +275,31 @@ ModelCache::restoreFrom(const std::string &dir)
 }
 
 std::shared_ptr<const CachedModel>
-ModelCache::findLocked(Shard &shard, const ModelKey &key)
+ModelCache::findLocked(const ModelKey &key)
 {
-    const auto it = shard.index.find(key);
-    if (it == shard.index.end())
+    const auto it = index.find(key);
+    if (it == index.end())
         return nullptr;
     // Touch: move to the MRU head.
-    shard.entries.splice(shard.entries.begin(), shard.entries,
-                         it->second);
-    return shard.entries.front().second;
+    entries.splice(entries.begin(), entries, it->second);
+    return entries.front().second;
 }
 
 void
-ModelCache::insertLocked(Shard &shard, const ModelKey &key,
+ModelCache::insertLocked(const ModelKey &key,
                          std::shared_ptr<const CachedModel> model)
 {
-    if (const auto it = shard.index.find(key); it != shard.index.end()) {
+    if (const auto it = index.find(key); it != index.end()) {
         it->second->second = std::move(model);
-        shard.entries.splice(shard.entries.begin(), shard.entries,
-                             it->second);
+        entries.splice(entries.begin(), entries, it->second);
         return;
     }
-    shard.entries.emplace_front(key, std::move(model));
-    shard.index.emplace(key, shard.entries.begin());
-    while (shard.entries.size() > shard.capacity) {
-        shard.index.erase(shard.entries.back().first);
-        shard.entries.pop_back();
-        ++shard.evictions;
+    entries.emplace_front(key, std::move(model));
+    index.emplace(key, entries.begin());
+    while (entries.size() > capacity) {
+        index.erase(entries.back().first);
+        entries.pop_back();
+        ++evictions;
     }
 }
 

@@ -1,8 +1,7 @@
 /**
  * @file
  * LRU cache of trained performance models, keyed by
- * (workload, cluster signature, datasize band) and sharded by a
- * stable hash of that key.
+ * (workload, cluster signature, datasize band).
  *
  * Collection plus modeling dominate a tune request (Table 3: hours of
  * simulated cluster time vs milliseconds of GA search), so a service
@@ -16,13 +15,11 @@
  * runs the expensive builder while the rest block on its result, so a
  * burst of identical cold requests costs one collection campaign.
  *
- * Sharding: with one mutex, every hot-workload lookup serializes
- * behind every other — the single-lock cache tops out long before the
- * search path does. The cache therefore splits into K independent
- * shards, each with its own lock, LRU list, and in-flight build map;
- * a key's shard is a pure function of the key (shardIndexFor), so the
- * single-shard semantics (LRU order, coalescing, accounting) hold
- * per shard and hot workloads in different shards never contend.
+ * One mutex guards the whole cache: a lookup holds it for a map probe
+ * and a list splice (about 2 us of a multi-millisecond answer), and a
+ * build runs outside it. Every one of the `capacity` slots is open to
+ * every key, so the cache evicts only when it holds more distinct keys
+ * than it has room for (DESIGN.md §11).
  */
 
 #ifndef DAC_SERVICE_MODEL_CACHE_H
@@ -71,9 +68,9 @@ struct ModelKey
     [[nodiscard]] std::string toString() const;
 
     /**
-     * Platform-stable 64-bit hash of the key (std::hash is not
-     * portable across implementations, and the shard layout must not
-     * depend on the standard library build).
+     * Platform-stable 64-bit hash of the key. Snapshot file names are
+     * built from it (ModelCache::snapshotFileName), so it must not
+     * depend on the standard library build the way std::hash does.
      */
     [[nodiscard]] uint64_t stableHash() const;
 };
@@ -103,9 +100,7 @@ struct CachedModel
 };
 
 /**
- * Thread-safe sharded LRU cache of CachedModels with per-shard build
- * coalescing. One shard (the default) reproduces the historical
- * single-mutex cache exactly.
+ * Thread-safe LRU cache of CachedModels with build coalescing.
  */
 class ModelCache
 {
@@ -114,7 +109,7 @@ class ModelCache
     using Builder =
         std::function<std::shared_ptr<const CachedModel>()>;
 
-    /** Cache accounting, aggregated over every shard. */
+    /** Cache accounting. */
     struct Stats
     {
         uint64_t hits = 0;
@@ -124,34 +119,21 @@ class ModelCache
         uint64_t evictions = 0;
         size_t size = 0;
         size_t capacity = 0;
-        size_t shards = 0;
 
         /** hits / (hits + misses), counting coalesced joins as hits. */
         [[nodiscard]] double hitRate() const;
     };
 
-    /**
-     * Cache holding at most `capacity` models (>= 1) across `shards`
-     * independently locked shards (>= 1). Capacity is distributed as
-     * evenly as possible; every shard holds at least one model, so the
-     * effective total is max(capacity, shards).
-     */
-    explicit ModelCache(size_t capacity, size_t shards = 1);
-
-    /** The shard a key routes to: a pure function of the key and the
-     *  shard count — no cache state involved. */
-    [[nodiscard]] static size_t shardIndexFor(const ModelKey &key,
-                                              size_t shards);
-
-    [[nodiscard]] size_t shardCount() const { return shards.size(); }
+    /** Cache holding at most `capacity` models (>= 1). */
+    explicit ModelCache(size_t capacity);
 
     /**
      * The model for `key`, building it if absent.
      *
      * Exactly one concurrent caller per key runs `build`; the others
      * wait and share the result. A builder failure propagates to every
-     * waiter and caches nothing. Builds of keys in different shards
-     * proceed fully independently.
+     * waiter and caches nothing. Builds of different keys proceed
+     * concurrently.
      */
     [[nodiscard]] std::shared_ptr<const CachedModel>
     getOrBuild(const ModelKey &key, const Builder &build);
@@ -160,8 +142,8 @@ class ModelCache
     [[nodiscard]] std::shared_ptr<const CachedModel>
     lookup(const ModelKey &key);
 
-    /** Insert (or refresh) an entry, evicting its shard's LRU tail
-     *  when the shard is full. */
+    /** Insert (or refresh) an entry, evicting the LRU tail when the
+     *  cache is full. */
     void insert(const ModelKey &key,
                 std::shared_ptr<const CachedModel> model);
 
@@ -171,15 +153,7 @@ class ModelCache
     [[nodiscard]] size_t size() const;
     [[nodiscard]] Stats stats() const;
 
-    /** Accounting for one shard (Stats::shards is 1 and capacity/size
-     *  are the shard's own). */
-    [[nodiscard]] Stats shardStats(size_t shard_index) const;
-
-    /**
-     * Keys from most- to least-recently used, shard by shard (shard 0
-     * first). With one shard this is the exact global recency order;
-     * with several, recency is only meaningful within a shard.
-     */
+    /** Keys from most- to least-recently used. */
     [[nodiscard]] std::vector<ModelKey> keysByRecency() const;
 
     /** Outcome counts of one snapshotTo() or restoreFrom() pass. */
@@ -213,9 +187,9 @@ class ModelCache
                               std::string *error = nullptr);
 
     /**
-     * Persist every current entry into `dir`, shard by shard. Entry
-     * pointers are collected under each shard's lock but files are
-     * written outside it, so serving traffic never blocks on disk.
+     * Persist every current entry into `dir`. Entry pointers are
+     * collected under the cache lock but files are written outside
+     * it, so serving traffic never blocks on disk.
      */
     SnapshotIo snapshotTo(const std::string &dir) const;
 
@@ -233,36 +207,26 @@ class ModelCache
   private:
     using Entry = std::pair<ModelKey, std::shared_ptr<const CachedModel>>;
 
-    /** One independently locked slice of the cache. */
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        /** MRU-first entry list; `index` points into it. */
-        std::list<Entry> entries;
-        std::map<ModelKey, std::list<Entry>::iterator> index;
-        /** One shared build per key in flight at a time. */
-        std::map<ModelKey,
-                 std::shared_future<std::shared_ptr<const CachedModel>>>
-            inflight;
-        size_t capacity = 1;
-        uint64_t hits = 0;
-        uint64_t misses = 0;
-        uint64_t coalesced = 0;
-        uint64_t evictions = 0;
-    };
-
-    Shard &shardFor(const ModelKey &key);
-
-    /** Requires the shard lock held. Returns nullptr on miss; no
+    /** Requires `mutex` held. Returns nullptr on miss; no
      *  accounting. */
-    static std::shared_ptr<const CachedModel>
-    findLocked(Shard &shard, const ModelKey &key);
-    /** Requires the shard lock held. */
-    static void insertLocked(Shard &shard, const ModelKey &key,
-                             std::shared_ptr<const CachedModel> model);
+    std::shared_ptr<const CachedModel> findLocked(const ModelKey &key);
+    /** Requires `mutex` held. */
+    void insertLocked(const ModelKey &key,
+                      std::shared_ptr<const CachedModel> model);
 
-    std::vector<std::unique_ptr<Shard>> shards;
-    size_t totalCapacity;
+    const size_t capacity;
+    mutable std::mutex mutex; ///< guards every field below
+    /** MRU-first entry list; `index` points into it. */
+    std::list<Entry> entries;
+    std::map<ModelKey, std::list<Entry>::iterator> index;
+    /** One shared build per key in flight at a time. */
+    std::map<ModelKey,
+             std::shared_future<std::shared_ptr<const CachedModel>>>
+        inflight;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t coalesced = 0;
+    uint64_t evictions = 0;
 };
 
 } // namespace dac::service

@@ -124,7 +124,7 @@ TuneResponse::phaseSec(Phase phase) const
 TuningService::TuningService(const sparksim::SparkSimulator &sim,
                              ServiceOptions options)
     : sim(&sim), options(options),
-      cache(options.modelCacheCapacity, options.modelCacheShards),
+      cache(options.modelCacheCapacity),
       pool(ThreadPool::Options{options.threads, options.queueCapacity})
 {
     if (!this->options.snapshotDir.empty()) {
@@ -307,7 +307,7 @@ TuningService::submitBatch(std::vector<TuneRequest> batch)
     }
 
     // The whole batch is one pool task: back-to-back items reuse the
-    // shard-warm model (the first miss builds it, the rest are hits),
+    // warm model (the first miss builds it, the rest are hits),
     // and duplicate cache keys inside the batch are answered from the
     // first occurrence without re-searching.
     auto work = [this, state]() {
@@ -417,8 +417,6 @@ TuningService::process(const TuneRequest &request,
 
     const ModelKey key{workload.abbrev(), sim->clusterSpec().signature(),
                        sizeBandOf(request.nativeSize)};
-    const auto shard = static_cast<uint16_t>(
-        ModelCache::shardIndexFor(key, cache.shardCount()));
 
     bool builtHere = false;
     int build_retries = 0;
@@ -461,15 +459,13 @@ TuningService::process(const TuneRequest &request,
     phases.push_back({Phase::CacheLookup, lookupSec});
     registry.histogram("phase.cache-lookup").observe(lookupSec);
     obs::FlightRecorder::record(request.wireId,
-                                obs::FlightPhase::CacheLookup, lookupSec,
-                                obs::FlightReason::None, shard);
+                                obs::FlightPhase::CacheLookup, lookupSec);
     if (builtHere) {
         phases.push_back({Phase::ModelBuild, buildSec});
         registry.histogram("phase.model-build").observe(buildSec);
         obs::FlightRecorder::record(request.wireId,
                                     obs::FlightPhase::ModelBuild,
-                                    buildSec, obs::FlightReason::None,
-                                    shard);
+                                    buildSec);
     }
     if (requestSpan.active())
         requestSpan.attr("model_source", builtHere ? "built" : "cache_hit");
@@ -538,8 +534,7 @@ TuningService::process(const TuneRequest &request,
     phases.push_back({Phase::Search, searchSec});
     registry.histogram("phase.search").observe(searchSec);
     obs::FlightRecorder::record(request.wireId, obs::FlightPhase::Search,
-                                searchSec, obs::FlightReason::None,
-                                shard);
+                                searchSec);
 
     TuneResponse response;
     response.workload = workload.abbrev();
@@ -736,19 +731,6 @@ TuningService::refreshGauges()
     registry.setGauge("cache.evictions",
                       static_cast<double>(stats.evictions));
     registry.setGauge("cache.hit_rate", stats.hitRate());
-    for (size_t s = 0; s < cache.shardCount(); ++s) {
-        const auto shard = cache.shardStats(s);
-        const std::string stem = "cache.shard" + std::to_string(s);
-        registry.setGauge(stem + ".hits",
-                          static_cast<double>(shard.hits));
-        registry.setGauge(stem + ".misses",
-                          static_cast<double>(shard.misses));
-        registry.setGauge(stem + ".coalesced",
-                          static_cast<double>(shard.coalesced));
-        registry.setGauge(stem + ".size",
-                          static_cast<double>(shard.size));
-        registry.setGauge(stem + ".hit_rate", shard.hitRate());
-    }
 }
 
 std::string

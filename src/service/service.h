@@ -46,13 +46,6 @@ struct ServiceOptions
     size_t queueCapacity = 256;
     /** Trained models kept resident. */
     size_t modelCacheCapacity = 16;
-    /**
-     * Independently locked model-cache shards (model_cache.h). More
-     * shards let hot workloads in different shards hit the cache
-     * without contending on one mutex; 1 reproduces the historical
-     * single-lock cache.
-     */
-    size_t modelCacheShards = 8;
     /** Collection/model/GA settings applied to every request. */
     core::AutoTuneOptions tuning;
     /**
@@ -142,7 +135,7 @@ class TuningService final : public TuningBackend
      * Submit requests that arrived together (one wire readiness
      * cycle): the whole batch runs as a single pool task, so a
      * pipelined burst costs one queue slot, repeated keys after the
-     * first are shard-local cache hits on a warm model, and duplicate
+     * first are cache hits on a warm model, and duplicate
      * requests inside the batch are answered once and shared
      * (coalesced flag set). Responses are identical to per-request
      * submit(); a saturated queue degrades every item to the expert
@@ -171,29 +164,17 @@ class TuningService final : public TuningBackend
 
     /**
      * Refresh the registry's point-in-time gauges (queue depth, cache
-     * totals, per-shard hit rates) so a renderPrometheus()/renderJson()
+     * totals and hit rate) so a renderPrometheus()/renderJson()
      * snapshot is current. The stats endpoint calls this on every
      * query; statusReport() does too.
      */
     void refreshGauges();
 
-    /** Shard fan-out of the model cache (stats endpoints iterate it). */
-    [[nodiscard]] size_t cacheShardCount() const
-    {
-        return cache.shardCount();
-    }
-
-    /** Per-shard model-cache accounting. */
-    [[nodiscard]] ModelCache::Stats cacheShardStats(size_t shard) const
-    {
-        return cache.shardStats(shard);
-    }
-
     /**
      * Persist every cached model to ServiceOptions::snapshotDir now
      * (no-op counts when persistence is disabled). Thread-safe; entry
-     * pointers are captured per shard and written outside the cache
-     * locks, so in-flight requests keep serving.
+     * pointers are captured under the cache lock and written outside
+     * it, so in-flight requests keep serving.
      */
     ModelCache::SnapshotIo snapshotNow();
 

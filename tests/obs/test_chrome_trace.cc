@@ -354,14 +354,5 @@ TEST(ChromeTrace, HostileStringsAreEscaped)
               span.attrs[0].second);
 }
 
-TEST(ChromeTrace, JsonEscapeHandlesControlCharacters)
-{
-    EXPECT_EQ(jsonEscape("plain"), "plain");
-    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
-    EXPECT_EQ(jsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
-}
-
 } // namespace
 } // namespace dac::obs

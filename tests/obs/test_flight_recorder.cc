@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,13 +25,38 @@ countSince(uint64_t before)
     return FlightRecorder::instance().recordCount() - before;
 }
 
+/** The first of 100 request ids no earlier test run in this process
+ *  used, so a repeated run does not count its predecessor's lanes.
+ *  Blocks count up from 1100: above the small fixed ids other tests
+ *  use and, for hundreds of repeats, below the 80000-and-up range. */
+uint64_t
+freshIds()
+{
+    static uint64_t next = 1000;
+    next += 100;
+    return next;
+}
+
+/** Distinct lanes among records with request ids in [first, last). */
+std::vector<uint32_t>
+lanesOf(const std::vector<FlightRecord> &records, uint64_t first,
+        uint64_t last)
+{
+    std::vector<uint32_t> lanes;
+    for (const auto &r : records) {
+        if (r.requestId >= first && r.requestId < last &&
+            std::find(lanes.begin(), lanes.end(), r.lane) == lanes.end())
+            lanes.push_back(r.lane);
+    }
+    return lanes;
+}
+
 TEST(FlightRecorder, RecordsAppearInSnapshot)
 {
     auto &recorder = FlightRecorder::instance();
     const uint64_t before = recorder.recordCount();
     FlightRecorder::record(101, FlightPhase::Decode, 1e-5);
-    FlightRecorder::record(101, FlightPhase::CacheLookup, 2e-6,
-                           FlightReason::None, 3);
+    FlightRecorder::record(101, FlightPhase::CacheLookup, 2e-6);
     FlightRecorder::record(101, FlightPhase::Degraded, 0.0,
                            FlightReason::Deadline);
     EXPECT_EQ(countSince(before), 3u);
@@ -38,7 +64,7 @@ TEST(FlightRecorder, RecordsAppearInSnapshot)
     const auto records = recorder.snapshot(/*window_sec=*/5.0);
     // Other tests may have recorded too; find ours by request id.
     int seen = 0;
-    bool sawShard = false;
+    bool sawLookup = false;
     bool sawReason = false;
     for (const auto &r : records) {
         if (r.requestId != 101)
@@ -47,9 +73,9 @@ TEST(FlightRecorder, RecordsAppearInSnapshot)
         EXPECT_LT(r.ageSec, 5.0);
         EXPECT_GE(r.ageSec, 0.0);
         if (r.phase == FlightPhase::CacheLookup) {
-            EXPECT_EQ(r.shard, 3);
+            EXPECT_EQ(r.reason, FlightReason::None);
             EXPECT_DOUBLE_EQ(r.valueSec, 2e-6);
-            sawShard = true;
+            sawLookup = true;
         }
         if (r.phase == FlightPhase::Degraded) {
             EXPECT_EQ(r.reason, FlightReason::Deadline);
@@ -57,7 +83,7 @@ TEST(FlightRecorder, RecordsAppearInSnapshot)
         }
     }
     EXPECT_GE(seen, 3);
-    EXPECT_TRUE(sawShard);
+    EXPECT_TRUE(sawLookup);
     EXPECT_TRUE(sawReason);
 }
 
@@ -98,8 +124,7 @@ TEST(FlightRecorder, ZeroWindowSnapshotIsEmptyOfOldRecords)
 TEST(FlightRecorder, DumpJsonParsesBackWithSchema)
 {
     auto &recorder = FlightRecorder::instance();
-    FlightRecorder::record(909, FlightPhase::ModelBuild, 0.25,
-                           FlightReason::None, 2);
+    FlightRecorder::record(909, FlightPhase::ModelBuild, 0.25);
     FlightRecorder::record(909, FlightPhase::Degraded, 0.0,
                            FlightReason::SearchTruncated);
 
@@ -118,7 +143,8 @@ TEST(FlightRecorder, DumpJsonParsesBackWithSchema)
             continue;
         if (r.stringAt("phase") == "model-build") {
             EXPECT_DOUBLE_EQ(r.numberAt("value_sec"), 0.25);
-            EXPECT_EQ(static_cast<int>(r.numberAt("shard")), 2);
+            EXPECT_TRUE(r.has("lane"));
+            EXPECT_FALSE(r.has("shard"));
             // reason is omitted when None.
             EXPECT_FALSE(r.has("reason"));
             sawBuild = true;
@@ -136,15 +162,19 @@ TEST(FlightRecorder, RecordsFromManyThreadsAllLand)
 {
     auto &recorder = FlightRecorder::instance();
     const uint64_t before = recorder.recordCount();
+    const uint64_t ids = freshIds();
     constexpr int kThreads = 4;
     constexpr int kPerThread = 500;
+    // Every thread stays alive until all have recorded, so no thread
+    // can inherit the ring of one that already exited.
+    std::latch allRecorded(kThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([t]() {
+        threads.emplace_back([t, ids, &allRecorded]() {
             for (int i = 0; i < kPerThread; ++i)
-                FlightRecorder::record(
-                    static_cast<uint64_t>(70000 + t),
-                    FlightPhase::Search, 1e-6 * i);
+                FlightRecorder::record(ids + static_cast<uint64_t>(t),
+                                       FlightPhase::Search, 1e-6 * i);
+            allRecorded.arrive_and_wait();
         });
     }
     for (auto &thread : threads)
@@ -152,17 +182,32 @@ TEST(FlightRecorder, RecordsFromManyThreadsAllLand)
     EXPECT_EQ(countSince(before),
               static_cast<uint64_t>(kThreads) * kPerThread);
 
-    // Every thread contributed a distinct lane.
-    const auto records = recorder.snapshot(10.0);
-    std::vector<uint32_t> lanes;
-    for (const auto &r : records) {
-        if (r.requestId >= 70000 && r.requestId < 70000 + kThreads) {
-            if (std::find(lanes.begin(), lanes.end(), r.lane) ==
-                lanes.end())
-                lanes.push_back(r.lane);
-        }
+    // Threads alive together never share a ring: one lane each.
+    const auto lanes =
+        lanesOf(recorder.snapshot(10.0), ids, ids + kThreads);
+    EXPECT_EQ(lanes.size(), static_cast<size_t>(kThreads));
+}
+
+TEST(FlightRecorder, ExitedThreadRingsAreReused)
+{
+    // Each thread exits before the next starts, so each can take over
+    // the ring its predecessor handed back: the recorder's memory
+    // follows the threads alive at once, not every thread ever seen.
+    auto &recorder = FlightRecorder::instance();
+    const uint64_t ids = freshIds();
+    constexpr uint64_t kThreads = 64;
+    for (uint64_t t = 0; t < kThreads; ++t) {
+        std::thread([id = ids + t]() {
+            FlightRecorder::record(id, FlightPhase::Write);
+        }).join();
     }
-    EXPECT_GE(lanes.size(), 2u); // rings are per-thread
+    const auto records = recorder.snapshot(10.0);
+    EXPECT_EQ(lanesOf(records, ids, ids + kThreads).size(), 1u);
+    size_t landed = 0;
+    for (const auto &r : records)
+        if (r.requestId >= ids && r.requestId < ids + kThreads)
+            ++landed;
+    EXPECT_EQ(landed, kThreads);
 }
 
 TEST(FlightRecorder, RingOverwritesOldestNotCrash)

@@ -149,25 +149,6 @@ TEST(ModelCache, BuilderFailureCachesNothing)
     EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(ModelCacheSharding, RoutingIsAPureFunctionOfTheKey)
-{
-    // Same key, any time, any instance: same shard. No cache state may
-    // leak into routing, or entries would vanish between lookups.
-    for (int i = 0; i < 32; ++i) {
-        const ModelKey k = key("W" + std::to_string(i), i % 5);
-        const size_t first = ModelCache::shardIndexFor(k, 8);
-        EXPECT_EQ(ModelCache::shardIndexFor(k, 8), first);
-        EXPECT_LT(first, 8u);
-        // Copies route identically.
-        const ModelKey copy = k;
-        EXPECT_EQ(ModelCache::shardIndexFor(copy, 8), first);
-    }
-    // Hash is stable across shard counts only via modulo.
-    const ModelKey k = key("PR", 4);
-    EXPECT_EQ(ModelCache::shardIndexFor(k, 1), 0u);
-    EXPECT_EQ(k.stableHash(), ModelKey{k}.stableHash());
-}
-
 TEST(ModelCacheSharding, HashSeparatesFieldBoundaries)
 {
     // ("ab","c") vs ("a","bc"): concatenation-equal but distinct keys
@@ -177,85 +158,17 @@ TEST(ModelCacheSharding, HashSeparatesFieldBoundaries)
     EXPECT_NE(a.stableHash(), b.stableHash());
 }
 
-TEST(ModelCacheSharding, SingleShardMatchesGoldenLruBehavior)
-{
-    // The sharded implementation with shards=1 must reproduce the
-    // historical single-mutex cache exactly: one global LRU order.
-    ModelCache cache(2, 1);
-    cache.insert(key("A"), dummyModel(1));
-    cache.insert(key("B"), dummyModel(2));
-    EXPECT_NE(cache.lookup(key("A")), nullptr);
-    cache.insert(key("C"), dummyModel(3));
-    EXPECT_EQ(cache.lookup(key("B")), nullptr); // evicted, LRU
-    EXPECT_NE(cache.lookup(key("A")), nullptr);
-    EXPECT_NE(cache.lookup(key("C")), nullptr);
-    const auto order = cache.keysByRecency();
-    ASSERT_EQ(order.size(), 2u);
-    EXPECT_EQ(order[0].workload, "C");
-    EXPECT_EQ(order[1].workload, "A");
-    EXPECT_EQ(cache.stats().shards, 1u);
-}
-
-TEST(ModelCacheSharding, PerShardLruMatchesSingleShardGolden)
-{
-    // Gather keys that all route to one shard of an 8-shard cache,
-    // then drive both an 8-shard cache and a single-shard golden with
-    // the same operation sequence: behavior inside a shard must match
-    // the single-mutex cache move for move.
-    constexpr size_t kShards = 8;
-    std::vector<ModelKey> sameShard;
-    const size_t want =
-        ModelCache::shardIndexFor(key("seed"), kShards);
-    for (int i = 0; sameShard.size() < 3; ++i) {
-        const ModelKey candidate = key("W" + std::to_string(i));
-        if (ModelCache::shardIndexFor(candidate, kShards) == want)
-            sameShard.push_back(candidate);
-    }
-
-    // Capacity 16 over 8 shards = 2 per shard: the third same-shard
-    // insert must evict that shard's LRU entry, exactly as a capacity-2
-    // single-shard cache would.
-    ModelCache sharded(16, kShards);
-    ModelCache golden(2, 1);
-    for (ModelCache *cache : {&sharded, &golden}) {
-        cache->insert(sameShard[0], dummyModel(1));
-        cache->insert(sameShard[1], dummyModel(2));
-        (void)cache->lookup(sameShard[0]); // touch: [1] becomes LRU
-        cache->insert(sameShard[2], dummyModel(3));
-    }
-    for (size_t i = 0; i < sameShard.size(); ++i) {
-        const bool inSharded =
-            sharded.lookup(sameShard[i]) != nullptr;
-        const bool inGolden = golden.lookup(sameShard[i]) != nullptr;
-        EXPECT_EQ(inSharded, inGolden) << "key " << i;
-    }
-    EXPECT_EQ(sharded.stats().evictions, golden.stats().evictions);
-}
-
-TEST(ModelCacheSharding, CapacityIsDistributedWithAFloorOfOne)
-{
-    // 2 slots over 8 shards: every shard still holds at least one
-    // model, so no key's shard can thrash at capacity zero.
-    ModelCache cache(2, 8);
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.shards, 8u);
-    for (int i = 0; i < 32; ++i)
-        cache.insert(key("W" + std::to_string(i)), dummyModel(i));
-    // Each of the 8 shards retains >= 1 entry.
-    EXPECT_GE(cache.size(), 8u);
-}
-
 TEST(ModelCacheSharding, MultithreadedHammerLosesNoCoalescing)
 {
     // Hammer getOrBuild from many threads over few keys: every key is
     // built exactly once, and the accounting balances — every call is
     // a hit, a miss (the builder), or a coalesced join. Run under TSan
-    // in CI, this is also the data-race check for the sharded store.
-    constexpr size_t kShards = 8;
+    // in CI, this is also the cache's data-race check. The cache holds
+    // exactly the hot keys, so any lost entry would show as a rebuild.
     constexpr int kThreads = 8;
     constexpr int kOpsPerThread = 200;
     constexpr int kKeys = 5;
-    ModelCache cache(64, kShards);
+    ModelCache cache(kKeys);
     std::atomic<int> builds[kKeys] = {};
 
     std::vector<std::thread> threads;
@@ -290,6 +203,7 @@ TEST(ModelCacheSharding, MultithreadedHammerLosesNoCoalescing)
     EXPECT_EQ(stats.hits + stats.misses + stats.coalesced,
               static_cast<uint64_t>(kThreads) * kOpsPerThread);
     EXPECT_EQ(stats.misses, static_cast<uint64_t>(kKeys));
+    EXPECT_EQ(stats.evictions, 0u);
     EXPECT_EQ(cache.size(), static_cast<size_t>(kKeys));
 }
 

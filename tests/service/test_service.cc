@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "service/service.h"
@@ -69,6 +72,55 @@ TEST(TuningService, RepeatedRequestsHitTheModelCache)
     // Warm requests skip collection entirely, so they are much
     // faster than the cold one.
     EXPECT_LT(warm.latencySec, cold.latencySec);
+}
+
+TEST(TuningService, DefaultCacheKeepsEveryTable1KeyWarm)
+{
+    // Table 1's five sizes per workload fall into 12 (workload, size
+    // band) model keys, and the default cache has room for all of them:
+    // once each key is built, asking again builds nothing, evicts
+    // nothing, and repeats every answer bit for bit.
+    std::vector<TuneRequest> requests;
+    std::set<std::pair<std::string, int>> keys;
+    for (const auto &workload : workloads::Registry::instance().all()) {
+        for (const double size : workload->paperSizes()) {
+            if (keys.emplace(workload->abbrev(), sizeBandOf(size)).second)
+                requests.push_back(request(workload->abbrev(), size));
+        }
+    }
+    ASSERT_EQ(requests.size(), 12u);
+
+    ServiceOptions opt; // default pool and cache; small tuning scale
+    opt.tuning.collect.datasetCount = 3;
+    opt.tuning.collect.runsPerDataset = 12;
+    opt.tuning.hm.firstOrder.maxTrees = 20;
+    opt.tuning.ga.maxGenerations = 5;
+    opt.tuning.ga.populationSize = 20;
+    sparksim::SparkSimulator sim(cluster::ClusterSpec::paperTestbed());
+    TuningService service(sim, opt);
+
+    std::vector<TuneResponse> first;
+    for (const TuneRequest &req : requests)
+        first.push_back(service.submit(req).get());
+    const auto warm = service.cacheStats();
+    const uint64_t builtWarm =
+        service.metrics().counterValue("models.built");
+
+    for (size_t i = 0; i < requests.size(); ++i) {
+        SCOPED_TRACE(requests[i].workload + "@" +
+                     std::to_string(requests[i].nativeSize));
+        const TuneResponse again = service.submit(requests[i]).get();
+        EXPECT_TRUE(again.modelCacheHit);
+        EXPECT_FALSE(again.degraded);
+        EXPECT_EQ(again.best.values(), first[i].best.values());
+        EXPECT_EQ(again.predictedTimeSec, first[i].predictedTimeSec);
+        EXPECT_EQ(again.modelErrorPct, first[i].modelErrorPct);
+    }
+    const auto after = service.cacheStats();
+    EXPECT_EQ(after.misses - warm.misses, 0u);
+    EXPECT_EQ(after.evictions - warm.evictions, 0u);
+    EXPECT_EQ(service.metrics().counterValue("models.built"), builtWarm);
+    EXPECT_EQ(after.size, requests.size());
 }
 
 TEST(TuningService, DifferentBandsTrainDifferentModels)

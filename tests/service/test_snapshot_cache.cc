@@ -1,6 +1,6 @@
 /**
  * @file
- * ModelCache snapshot/restore: per-shard persistence to a directory,
+ * ModelCache snapshot/restore: persistence of every entry to a directory,
  * warm restore with bit-identical predictions, stale-version eviction,
  * corrupt-file skipping, and the accounting contract (a restore must
  * not skew hit/miss stats — the warm-restart test reads them).
@@ -84,7 +84,7 @@ trainedEntry(uint64_t seed, double error_pct)
 
 TEST_F(SnapshotCacheTest, SnapshotThenRestoreRoundTrips)
 {
-    ModelCache cache(8, 4);
+    ModelCache cache(8);
     cache.insert(key("TS", 5), trainedEntry(11, 4.0));
     cache.insert(key("WC", 6), trainedEntry(12, 6.0));
 
@@ -92,7 +92,7 @@ TEST_F(SnapshotCacheTest, SnapshotThenRestoreRoundTrips)
     EXPECT_EQ(saved.saved, 2u);
     EXPECT_EQ(saved.failed, 0u);
 
-    ModelCache fresh(8, 4);
+    ModelCache fresh(8);
     const auto restored = fresh.restoreFrom(dir);
     EXPECT_EQ(restored.loaded, 2u);
     EXPECT_EQ(restored.staleEvicted, 0u);

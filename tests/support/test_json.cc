@@ -50,6 +50,26 @@ TEST(Json, EscapeAndParseRoundTrip)
     EXPECT_EQ(back.text, nasty);
 }
 
+TEST(Json, EscapeHandlesControlCharacters)
+{
+    EXPECT_EQ(jsonEscape("plain"), "plain");
+    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
+    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+    EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
+    EXPECT_EQ(jsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
+    // Backspace and form feed take the \u form, which parses back to
+    // the same byte as the short \b and \f escapes do.
+    EXPECT_EQ(jsonEscape("a\bb"), "a\\u0008b");
+    EXPECT_EQ(jsonEscape("a\fb"), "a\\u000cb");
+    for (const std::string text : {"a\bb", "a\fb"}) {
+        std::string literal(1, '"');
+        literal += jsonEscape(text);
+        literal += '"';
+        EXPECT_EQ(parseJson(literal).text, text);
+    }
+    EXPECT_EQ(parseJson("\"a\\bb\\fc\"").text, "a\bb\fc");
+}
+
 TEST(Json, LookupHelpersFallBack)
 {
     const JsonValue doc = parseJson("{\"a\": 1, \"s\": \"x\"}");

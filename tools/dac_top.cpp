@@ -11,7 +11,7 @@
  *    build, search, serialize, write) straight from the server's
  *    histograms;
  *  - per-event-loop RED rows (requests, errors, p95 duration);
- *  - model-cache shard hit rates.
+ *  - one model-cache row (size, hits, misses, evictions, hit rate).
  *
  * Usage: dac_top --port=N [--host=H] [--interval=SEC] [--count=N]
  *                [--dump=FORMAT]
@@ -154,20 +154,16 @@ renderSnapshot(const JsonValue &stats, CounterDeltas &deltas,
     }
     loops.print(std::cout);
 
-    dac::TextTable shards(
-        {"cache shard", "hits", "misses", "hit rate", "size"});
-    for (size_t s = 0;; ++s) {
-        const std::string base = "cache.shard" + std::to_string(s);
-        if (!gauges.has(base + ".hits"))
-            break;
-        shards.addRow(
-            {std::to_string(s),
-             formatDouble(gauges.numberAt(base + ".hits", 0.0), 0),
-             formatDouble(gauges.numberAt(base + ".misses", 0.0), 0),
-             formatDouble(gauges.numberAt(base + ".hit_rate", 0.0), 3),
-             formatDouble(gauges.numberAt(base + ".size", 0.0), 0)});
-    }
-    shards.print(std::cout);
+    dac::TextTable cache(
+        {"cached models", "hits", "misses", "evictions", "hit rate"});
+    const auto count = [&gauges](const std::string &name) {
+        return formatDouble(gauges.numberAt(name, 0.0), 0);
+    };
+    cache.addRow({count("cache.size"), count("cache.hits"),
+                  count("cache.misses"), count("cache.evictions"),
+                  formatDouble(gauges.numberAt("cache.hit_rate", 0.0),
+                               3)});
+    cache.print(std::cout);
 }
 
 } // namespace
