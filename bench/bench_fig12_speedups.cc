@@ -37,7 +37,7 @@ main(int argc, char **argv)
     std::vector<double> over_rfhoc;
 
     for (const auto &w : bench::allPrograms()) {
-        int d = 1;
+        size_t d = 1;
         for (double size : w->paperSizes()) {
             const auto c_dac = dac_tuner.configFor(*w, size);
             const auto c_rfhoc = rfhoc_tuner.configFor(*w, size);
@@ -57,7 +57,7 @@ main(int argc, char **argv)
             over_default.push_back(t_def / t_dac);
             over_expert.push_back(t_exp / t_dac);
             over_rfhoc.push_back(t_rfhoc / t_dac);
-            table.addRow({w->abbrev(), "D" + std::to_string(d++),
+            table.addRow({w->abbrev(), bench::datasetLabel(d++),
                           formatDouble(t_dac, 1),
                           formatDouble(t_rfhoc, 1),
                           formatDouble(t_exp, 1),

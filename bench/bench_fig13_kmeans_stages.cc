@@ -50,9 +50,12 @@ main(int argc, char **argv)
     // (a)-(c): stage breakdown at D1, D3, D5.
     for (int d : {0, 2, 4}) {
         const double size = sizes[static_cast<size_t>(d)];
-        printBanner(std::cout, "(" + std::string(1, char('a' + d / 2)) +
-                    ") stage times at D" + std::to_string(d + 1) +
-                    " (seconds)");
+        std::string title = "(";
+        title += char('a' + d / 2);
+        title += ") stage times at ";
+        title += bench::datasetLabel(static_cast<size_t>(d) + 1);
+        title += " (seconds)";
+        printBanner(std::cout, title);
         TextTable table({"stage", "default", "RFHOC", "DAC"});
         const auto r_def = core::measureDetailed(
             sim, km, size, default_tuner.configFor(km, size), 3);
@@ -86,7 +89,7 @@ main(int argc, char **argv)
             sim, km, size, rfhoc_tuner.configFor(km, size), 3);
         const auto r_dac = core::measureDetailed(
             sim, km, size, dac_tuner.configFor(km, size), 3);
-        gc.addRow({"D" + std::to_string(d + 1),
+        gc.addRow({bench::datasetLabel(d + 1),
                    formatDouble(r_def.gcTimeSec, 1),
                    formatDouble(r_rfhoc.gcTimeSec, 1),
                    formatDouble(r_dac.gcTimeSec, 1)});

@@ -62,13 +62,13 @@ main(int argc, char **argv)
         if (d + 1 == sizes.size())
             ratio_d5 = s_def / s_dac;
 
-        stage2.addRow({"D" + std::to_string(d + 1),
+        stage2.addRow({bench::datasetLabel(d + 1),
                        formatDouble(s_def, 1), formatDouble(s_rfhoc, 1),
                        formatDouble(s_dac, 1),
                        formatDouble(std::log2(s_def), 2),
                        formatDouble(std::log2(s_rfhoc), 2),
                        formatDouble(std::log2(s_dac), 2)});
-        gc.addRow({"D" + std::to_string(d + 1),
+        gc.addRow({bench::datasetLabel(d + 1),
                    formatDouble(r_def.gcTimeSec, 1),
                    formatDouble(r_rfhoc.gcTimeSec, 1),
                    formatDouble(r_dac.gcTimeSec, 1)});

@@ -2,7 +2,7 @@
  * @file
  * Closed-loop load generator for the wire serving layer (src/net/).
  *
- * Three phases:
+ * Two phases:
  *
  *  1. Client sweep: N closed-loop clients (one TCP connection each,
  *     one request in flight each) against a live TuningServer for a
@@ -10,12 +10,10 @@
  *     throughput; the saturation throughput is the sweep's maximum.
  *  2. Pipelined batches: the same traffic but B requests per wire
  *     write, exercising the one-readiness-cycle batch path end to end.
- *  3. Observability overhead: two fresh in-process stacks, one with
- *     the full observability pipeline on (tracing, flight recorder,
- *     RED metrics + phase histograms) and one with all of it off,
- *     driven with identical load; both rows print so the cost of
- *     always-on observability is a measured number, not a guess
- *     (budget: <= 5% throughput degradation).
+ *
+ * The cost of always-on observability is measured by the stack
+ * benchmark's traced runs instead (stackbench/, obs.overhead_pct),
+ * which alternate obs-on and obs-off blocks within one process.
  *
  * The workload mix is Zipf-skewed (rank-1 traffic dominates), modeling
  * a scheduler that asks about the same few nightly jobs far more often
@@ -42,8 +40,6 @@
 
 #include "net/client.h"
 #include "net/server.h"
-#include "obs/flight_recorder.h"
-#include "obs/tracer.h"
 #include "service/service.h"
 #include "support/random.h"
 #include "support/string_utils.h"
@@ -222,7 +218,7 @@ runSweepPoint(const std::string &host, uint16_t port, size_t clients,
     return out;
 }
 
-/** Tuner knobs shared by every in-process stack the bench builds. */
+/** Tuner knobs of the in-process stack. */
 service::ServiceOptions
 benchServiceOptions()
 {
@@ -260,40 +256,6 @@ warmMix(const std::string &host, uint16_t port)
         std::cerr << "warmup returned nothing\n";
 }
 
-/**
- * Phase 3 worker: serving throughput of a fresh in-process stack with
- * the observability pipeline fully on or fully off. Fresh stacks per
- * mode so one mode's histograms and rings cannot pollute the other;
- * identical seed so both modes draw the same request sequence.
- */
-SweepResult
-runObsPoint(bool obs_on, size_t clients, size_t batch, double seconds)
-{
-    obs::Tracer::instance().setEnabled(obs_on);
-    obs::FlightRecorder::instance().setEnabled(obs_on);
-
-    sparksim::SparkSimulator sim(cluster::ClusterSpec::paperTestbed());
-    service::TuningService service(sim, benchServiceOptions());
-    net::ServerOptions nopt;
-    if (obs_on)
-        nopt.metrics = &service.metrics();
-    net::TuningServer server(service, nopt);
-    server.start();
-    warmMix("127.0.0.1", server.port());
-
-    const SweepResult r = runSweepPoint("127.0.0.1", server.port(),
-                                        clients, batch, seconds, 17);
-    server.stop();
-    service.shutdown();
-
-    // Leave the process in the bench's ambient state: tracer off and
-    // drained, flight recorder at its always-on default.
-    obs::Tracer::instance().setEnabled(false);
-    obs::Tracer::instance().clear();
-    obs::FlightRecorder::instance().setEnabled(true);
-    return r;
-}
-
 /** ns/op for a rate, the unit google-benchmark JSON carries. */
 double
 nsPerOp(double ops_per_sec)
@@ -319,8 +281,7 @@ appendBenchEntry(std::ostream &out, bool &first, const std::string &name,
 
 void
 writeJson(const std::string &path, const std::vector<SweepResult> &sweep,
-          double saturation_rps, const SweepResult &obs_off,
-          const SweepResult &obs_on)
+          double saturation_rps)
 {
     std::ofstream out(path);
     out << "{\n  \"sweep\": [\n";
@@ -338,11 +299,6 @@ writeJson(const std::string &path, const std::vector<SweepResult> &sweep,
     }
     out << "  ],\n";
     out << "  \"saturation_rps\": " << saturation_rps << ",\n";
-    if (obs_off.ok > 0 || obs_on.ok > 0) {
-        out << "  \"obs_overhead\": {\"off_rps\": "
-            << obs_off.throughput()
-            << ", \"on_rps\": " << obs_on.throughput() << "},\n";
-    }
     // google-benchmark-shaped view of the same numbers, the format
     // tools/check_bench_regression gates on in perf-smoke.
     out << "  \"benchmarks\": [";
@@ -353,10 +309,6 @@ writeJson(const std::string &path, const std::vector<SweepResult> &sweep,
                              "/batch:" + std::to_string(r.batch),
                          nsPerOp(r.throughput()), r.ok);
     }
-    appendBenchEntry(out, first, "serving/obs:off",
-                     nsPerOp(obs_off.throughput()), obs_off.ok);
-    appendBenchEntry(out, first, "serving/obs:on",
-                     nsPerOp(obs_on.throughput()), obs_on.ok);
     out << "\n  ]\n";
     out << "}\n";
 }
@@ -478,42 +430,8 @@ main(int argc, char **argv)
         service->shutdown();
     }
 
-    // Phase 3: observability overhead, in-process only (an external
-    // server's obs state is not ours to toggle).
-    SweepResult obsOff;
-    SweepResult obsOn;
-    if (connect.empty()) {
-        printBanner(std::cout, "observability overhead");
-        const size_t obsClients =
-            clientCounts.empty() ? 4 : clientCounts.back();
-        const size_t obsBatch = std::max<size_t>(1, pipelineBatch);
-        obsOff = runObsPoint(false, obsClients, obsBatch, seconds);
-        obsOn = runObsPoint(true, obsClients, obsBatch, seconds);
-        totalOk += obsOff.ok + obsOn.ok;
-        TextTable obsTable({"observability", "ok", "req/s", "p50 ms",
-                            "p99 ms"});
-        const auto addObsRow = [&obsTable](const std::string &mode,
-                                           const SweepResult &r) {
-            obsTable.addRow({mode, std::to_string(r.ok),
-                             formatDouble(r.throughput(), 1),
-                             formatDouble(r.p50Ms, 2),
-                             formatDouble(r.p99Ms, 2)});
-        };
-        addObsRow("off", obsOff);
-        addObsRow("on (trace+flight+metrics)", obsOn);
-        obsTable.print(std::cout);
-        if (obsOff.throughput() > 0.0) {
-            const double overheadPct =
-                (1.0 - obsOn.throughput() / obsOff.throughput()) *
-                100.0;
-            std::cout << "observability overhead: "
-                      << formatDouble(overheadPct, 1)
-                      << "% of throughput (budget: 5%)\n";
-        }
-    }
-
     if (!outPath.empty()) {
-        writeJson(outPath, sweep, saturation, obsOff, obsOn);
+        writeJson(outPath, sweep, saturation);
         std::cout << "wrote " << outPath << "\n";
     }
 

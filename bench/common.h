@@ -34,6 +34,15 @@ struct Scale
     int measureRuns = 3;
 };
 
+/** "D<n>", the paper's name for a program's n-th dataset size. */
+inline std::string
+datasetLabel(size_t n)
+{
+    std::string label = "D";
+    label += std::to_string(n);
+    return label;
+}
+
 /** Parse --full (and optional --k=N) from argv. */
 inline Scale
 parseScale(int argc, char **argv)

@@ -108,9 +108,10 @@ buildAndValidate(ModelKind kind, const std::vector<PerfVector> &vectors,
     }
     static obs::Counter &trained =
         obs::globalMetrics().counter("model.trained");
+    static obs::Histogram &trainSec =
+        obs::globalMetrics().histogram("model.train_sec");
     trained.increment();
-    obs::globalMetrics().histogram("model.train_sec")
-        .observe(report.trainWallSec);
+    trainSec.observe(report.trainWallSec);
     return report;
 }
 

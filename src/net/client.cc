@@ -45,15 +45,24 @@ Client::request(const service::TuneRequest &request)
 std::vector<service::TuneResponse>
 Client::requestBatch(const std::vector<service::TuneRequest> &requests)
 {
+    // The batch's root span lasts until its last reply; it records
+    // when any item is sampled.
+    obs::SampleScope batchSample(std::any_of(
+        requests.begin(), requests.end(),
+        [](const service::TuneRequest &r) { return r.sampled; }));
+    obs::ScopedSpan batchSpan("net.client.batch");
+    if (batchSpan.active())
+        batchSpan.attr("items", static_cast<uint64_t>(requests.size()));
+
     // One coalesced write: the server's read loop drains all of these
     // in a single readiness cycle and submits them as one batch.
     std::vector<uint8_t> wire;
     std::vector<uint32_t> ids;
     ids.reserve(requests.size());
     for (const auto &request : requests) {
-        // Each batch item gets its own span — and with it its own
-        // trace id — so server-side work for different items never
-        // collapses into one trace.
+        // Each batch item gets its own span under the batch's — and
+        // with it its own trace id — so server-side work for
+        // different items never collapses into one trace.
         obs::SampleScope sampleScope(request.sampled);
         obs::ScopedSpan span("net.client.request");
         service::TuneRequest item = request;

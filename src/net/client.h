@@ -67,7 +67,9 @@ class Client
      * Pipeline a batch: write every request in one buffer (the server
      * sees them in one readiness cycle — wire-level batching), then
      * collect responses and return them in request order whatever
-     * order they arrived in.
+     * order they arrived in. With tracing enabled, a
+     * "net.client.batch" span covers the whole call, and each item
+     * gets its own "net.client.request" span (and trace id) under it.
      */
     [[nodiscard]] std::vector<service::TuneResponse>
     requestBatch(const std::vector<service::TuneRequest> &requests);

@@ -31,6 +31,12 @@ elapsedSec(std::chrono::steady_clock::time_point since)
         .count();
 }
 
+/** Cap on a FlightDump reply. Every record renders to well under 160
+ *  bytes of JSON, so this keeps the reply inside the frame payload
+ *  ceiling (1 MiB) with headroom; the dump reports how many records
+ *  it dropped. */
+constexpr size_t kMaxWireDumpRecords = 6000;
+
 } // namespace
 
 /**
@@ -132,7 +138,8 @@ class Connection : public std::enable_shared_from_this<Connection>
         }
 
         // Drain every complete frame buffered so far: this whole
-        // readiness cycle's worth of requests becomes one batch.
+        // readiness cycle's worth of requests becomes one batch, and
+        // every other frame gets its reply inline, through one path.
         std::vector<uint32_t> ids;
         std::vector<uint8_t> versions;
         std::vector<service::TuneRequest> requests;
@@ -149,15 +156,11 @@ class Connection : public std::enable_shared_from_this<Connection>
             }
             server.counters.framesReceived.fetch_add(
                 1, std::memory_order_relaxed);
-            switch (frame.type) {
-            case MsgType::Ping:
-                appendFrame(inlineReplies, MsgType::Pong,
-                            frame.requestId, nullptr, 0, frame.version);
-                server.counters.framesSent.fetch_add(
-                    1, std::memory_order_relaxed);
-                break;
-            case MsgType::TuneRequest:
-                try {
+            MsgType replyType = MsgType::Error;
+            std::vector<uint8_t> payload;
+            try {
+                switch (frame.type) {
+                case MsgType::TuneRequest: {
                     const auto decodeStart =
                         std::chrono::steady_clock::now();
                     service::TuneRequest request =
@@ -170,115 +173,57 @@ class Connection : public std::enable_shared_from_this<Connection>
                     requests.push_back(std::move(request));
                     ids.push_back(frame.requestId);
                     versions.push_back(frame.version);
-                } catch (const ProtocolError &e) {
-                    server.counters.protocolErrors.fetch_add(
-                        1, std::memory_order_relaxed);
-                    const auto payload = encodeError(e.what());
-                    appendFrame(inlineReplies, MsgType::Error,
-                                frame.requestId, payload.data(),
-                                payload.size(), frame.version);
-                    server.counters.framesSent.fetch_add(
-                        1, std::memory_order_relaxed);
+                    continue; // the batch's reply task answers it
                 }
-                break;
-            case MsgType::Stats: {
-                // Served inline on the loop thread: a stats snapshot
-                // must come back even when the worker pool is wedged —
-                // that is exactly when the caller wants it.
-                std::vector<uint8_t> payload;
-                MsgType replyType = MsgType::StatsReply;
-                try {
-                    const StatsRequest statsRequest =
-                        decodeStatsRequest(frame.payload);
-                    payload = encodeTextReply(
-                        server.renderStats(statsRequest.format));
-                } catch (const ProtocolError &e) {
-                    server.counters.protocolErrors.fetch_add(
-                        1, std::memory_order_relaxed);
-                    replyType = MsgType::Error;
-                    payload = encodeError(e.what());
-                }
-                appendFrame(inlineReplies, replyType, frame.requestId,
-                            payload.data(), payload.size(),
-                            frame.version);
-                server.counters.framesSent.fetch_add(
-                    1, std::memory_order_relaxed);
-                break;
-            }
-            case MsgType::FlightDump: {
-                std::vector<uint8_t> payload;
-                MsgType replyType = MsgType::FlightDumpReply;
-                try {
-                    const FlightDumpRequest dumpRequest =
-                        decodeFlightDumpRequest(frame.payload);
-                    // Every record renders to well under 160 bytes of
-                    // JSON, so this cap keeps the reply inside the
-                    // frame payload ceiling (1 MiB) with headroom;
-                    // the dump reports how many records it dropped.
-                    constexpr size_t kMaxWireDumpRecords = 6000;
+                case MsgType::Ping:
+                    replyType = MsgType::Pong;
+                    break;
+                // The admin frames are served inline on the loop
+                // thread: a stats snapshot or a persist-now pass must
+                // come back even when the worker pool is wedged or
+                // saturated, which is exactly when the caller wants it.
+                case MsgType::Stats:
+                    replyType = MsgType::StatsReply;
+                    payload = encodeTextReply(server.renderStats(
+                        decodeStatsRequest(frame.payload).format));
+                    break;
+                case MsgType::FlightDump:
+                    replyType = MsgType::FlightDumpReply;
                     payload = encodeTextReply(
                         obs::FlightRecorder::instance().dumpJson(
-                            dumpRequest.windowSec, kMaxWireDumpRecords));
-                } catch (const ProtocolError &e) {
-                    server.counters.protocolErrors.fetch_add(
-                        1, std::memory_order_relaxed);
-                    replyType = MsgType::Error;
-                    payload = encodeError(e.what());
+                            decodeFlightDumpRequest(frame.payload)
+                                .windowSec,
+                            kMaxWireDumpRecords));
+                    break;
+                case MsgType::Snapshot:
+                    replyType = MsgType::SnapshotReply;
+                    payload = encodeTextReply(server.renderSnapshot(
+                        decodeSnapshotRequest(frame.payload).op));
+                    break;
+                case MsgType::TuneResponse:
+                case MsgType::Error:
+                case MsgType::Pong:
+                case MsgType::StatsReply:
+                case MsgType::FlightDumpReply:
+                case MsgType::SnapshotReply:
+                default:
+                    // Response-side frames a client has no business
+                    // sending, and type bytes this build does not know
+                    // (the decoder passes them through — framing is
+                    // still aligned).
+                    throw ProtocolError("unexpected frame type");
                 }
-                appendFrame(inlineReplies, replyType, frame.requestId,
-                            payload.data(), payload.size(),
-                            frame.version);
-                server.counters.framesSent.fetch_add(
-                    1, std::memory_order_relaxed);
-                break;
-            }
-            case MsgType::Snapshot: {
-                // Like Stats: answered inline on the loop thread, so
-                // an operator can trigger a persist-now pass even when
-                // the worker pool is saturated with tune requests.
-                std::vector<uint8_t> payload;
-                MsgType replyType = MsgType::SnapshotReply;
-                try {
-                    const SnapshotRequest snapRequest =
-                        decodeSnapshotRequest(frame.payload);
-                    payload = encodeTextReply(
-                        server.renderSnapshot(snapRequest.op));
-                } catch (const ProtocolError &e) {
-                    server.counters.protocolErrors.fetch_add(
-                        1, std::memory_order_relaxed);
-                    replyType = MsgType::Error;
-                    payload = encodeError(e.what());
-                }
-                appendFrame(inlineReplies, replyType, frame.requestId,
-                            payload.data(), payload.size(),
-                            frame.version);
-                server.counters.framesSent.fetch_add(
-                    1, std::memory_order_relaxed);
-                break;
-            }
-            case MsgType::TuneResponse:
-            case MsgType::Error:
-            case MsgType::Pong:
-            case MsgType::StatsReply:
-            case MsgType::FlightDumpReply:
-            case MsgType::SnapshotReply:
-            default: {
-                // Response-side frames a client has no business
-                // sending, and type bytes this build does not know
-                // (the decoder passes them through — framing is still
-                // aligned): answer with an error but keep the stream.
+            } catch (const ProtocolError &e) {
+                // Answer with an error but keep the stream.
                 server.counters.protocolErrors.fetch_add(
                     1, std::memory_order_relaxed);
-                const auto payload =
-                    encodeError("unexpected frame type");
-                appendFrame(inlineReplies, MsgType::Error,
-                            frame.requestId, payload.data(),
-                            payload.size(), frame.version);
-                server.counters.framesSent.fetch_add(
-                    1, std::memory_order_relaxed);
-                break;
+                replyType = MsgType::Error;
+                payload = encodeError(e.what());
             }
-            }
+            appendFrame(inlineReplies, replyType, frame.requestId,
+                        payload.data(), payload.size(), frame.version);
+            server.counters.framesSent.fetch_add(
+                1, std::memory_order_relaxed);
         }
 
         if (!inlineReplies.empty())

@@ -22,8 +22,12 @@
  * payload — or a well-framed frame of a type this build does not
  * know — gets an Error frame and the connection lives on.
  *
- * Observability (DESIGN.md §12): Stats and FlightDump frames are
- * answered inline on the loop thread; tune requests are stamped with
+ * Every frame other than a tune request (Ping, Stats, FlightDump,
+ * Snapshot, an unexpected type) and every undecodable tune payload is
+ * answered inline on the loop thread through one path: decode,
+ * render, append the reply frame, count it sent.
+ *
+ * Observability (DESIGN.md §12): tune requests are stamped with
  * decode time and wire id so the backend can return a per-phase
  * latency breakdown, which the reply path completes with serialize
  * and write timings.

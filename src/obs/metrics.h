@@ -10,9 +10,10 @@
  *
  * Counter and Histogram references handed out by a registry stay valid
  * for the registry's lifetime and may be updated concurrently from any
- * thread; only the first lookup of a new name takes a lock, so hot
- * paths should cache the reference (typically in a function-local
- * static).
+ * thread without a lock. Every lookup by name (counter(), histogram())
+ * takes the registry's mutex, so hot paths should resolve the
+ * reference once and keep it (a member set at construction, or a
+ * function-local static).
  */
 
 #ifndef DAC_OBS_METRICS_H

@@ -124,9 +124,15 @@ TuneResponse::phaseSec(Phase phase) const
 TuningService::TuningService(const sparksim::SparkSimulator &sim,
                              ServiceOptions options)
     : sim(&sim), options(options),
+      requestLatency(registry.histogram("latency.request")),
+      buildLatency(registry.histogram("latency.model_build")),
       cache(options.modelCacheCapacity),
       pool(ThreadPool::Options{options.threads, options.queueCapacity})
 {
+    for (size_t i = 0; i < kPhaseCount; ++i) {
+        phaseHist[i] = &registry.histogram(
+            std::string("phase.") + phaseName(static_cast<Phase>(i)));
+    }
     if (!this->options.snapshotDir.empty()) {
         const ModelCache::SnapshotIo io =
             cache.restoreFrom(this->options.snapshotDir);
@@ -150,219 +156,133 @@ TuningService::~TuningService()
     shutdown();
 }
 
-std::future<TuneResponse>
-TuningService::submit(TuneRequest request)
+std::vector<std::future<TuneResponse>>
+TuningService::submitBatch(std::vector<TuneRequest> batch)
 {
-    const std::string key = request.cacheKey();
-    std::promise<TuneResponse> promise;
-    std::future<TuneResponse> future = promise.get_future();
-    bool first = false;
-    std::chrono::steady_clock::time_point submittedAt;
+    std::vector<std::string> keys;
+    keys.reserve(batch.size());
+    for (const TuneRequest &request : batch) {
+        keys.push_back(request.cacheKey());
+        obs::FlightRecorder::record(request.wireId,
+                                    obs::FlightPhase::QueueEnter);
+    }
+
+    // Each request joins the entry of an identical one in flight or
+    // opens its own; the entries this call opens, with their keys, run
+    // in batch order as one pool task.
+    std::vector<std::future<TuneResponse>> futures;
+    futures.reserve(batch.size());
+    auto opened =
+        std::make_shared<std::vector<std::pair<std::string, TuneRequest>>>();
+    const auto submitted = std::chrono::steady_clock::now();
     {
         std::lock_guard<std::mutex> lock(mutex);
         if (!accepting)
-            fatalError("TuningService::submit after shutdown");
-        auto &slot = pending[key];
-        if (!slot) {
-            slot = std::make_shared<Pending>();
-            slot->submitted = std::chrono::steady_clock::now();
-            first = true;
-        }
-        submittedAt = slot->submitted;
-        slot->waiters.push_back(std::move(promise));
-    }
-    registry.counter("requests.submitted").increment();
-    obs::FlightRecorder::record(request.wireId,
-                                obs::FlightPhase::QueueEnter);
-    if (!first) {
-        registry.counter("requests.coalesced").increment();
-        return future;
-    }
-
-    const std::string workload = request.workload;
-    const double native_size = request.nativeSize;
-    const uint32_t wire_id = request.wireId;
-    auto work = [this, request = std::move(request), key,
-                 submittedAt]() {
-        TuneResponse response;
-        std::exception_ptr error;
-        try {
-            response = process(request, submittedAt);
-        } catch (...) {
-            error = std::current_exception();
-        }
-
-        std::shared_ptr<Pending> entry;
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            const auto it = pending.find(key);
-            DAC_ASSERT(it != pending.end(), "lost a pending request");
-            entry = it->second;
-            pending.erase(it);
-        }
-
-        // Account before fulfilling any promise: a waiter may read the
-        // counters the instant its future resolves.
-        const double latency = elapsedSec(entry->submitted);
-        const size_t waiters = entry->waiters.size();
-        if (error) {
-            registry.counter("requests.failed").increment(waiters);
-        } else {
-            for (size_t i = 0; i < waiters; ++i)
-                registry.histogram("latency.request").observe(latency);
-            registry.counter("requests.served").increment(waiters);
-        }
-        for (size_t i = 0; i < waiters; ++i) {
-            if (error) {
-                entry->waiters[i].set_exception(error);
-                continue;
+            fatalError("TuningService::submitBatch after shutdown");
+        for (size_t i = 0; i < batch.size(); ++i) {
+            auto &entry = pending[keys[i]];
+            if (!entry) {
+                entry = std::make_shared<Pending>();
+                entry->submitted = submitted;
+                opened->emplace_back(std::move(keys[i]), std::move(batch[i]));
             }
-            TuneResponse copy = response;
-            copy.coalesced = i > 0;
-            copy.latencySec = latency;
-            entry->waiters[i].set_value(std::move(copy));
+            entry->waiters.emplace_back();
+            futures.push_back(entry->waiters.back().get_future());
         }
-    };
+    }
+    registry.counter("requests.submitted").increment(batch.size());
+    if (batch.size() > 1) {
+        registry.counter("requests.batched").increment(batch.size());
+        registry.counter("batches.submitted").increment();
+    }
+    if (opened->size() < batch.size()) {
+        registry.counter("requests.coalesced")
+            .increment(batch.size() - opened->size());
+    }
+    if (opened->empty())
+        return futures;
 
-    bool posted = true;
-    if (options.rejectWhenSaturated)
-        posted = pool.tryPost(std::move(work));
-    else
-        // Configuration-gated: the serving stack runs with
-        // rejectWhenSaturated=true and takes the tryPost branch; this
-        // blocking post exists for batch/offline embedders that
-        // prefer backpressure to errors.
-        // NOLINTNEXTLINE(dac-blocking-in-loop): gated off serving paths
-        pool.post(std::move(work));
-    if (posted)
-        return future;
+    const bool posted = pool.tryPost([this, opened, submitted]() {
+        for (const auto &[key, request] : *opened) {
+            TuneResponse answer;
+            std::exception_ptr error;
+            try {
+                answer = process(request, submitted);
+            } catch (...) {
+                error = std::current_exception();
+            }
+            close(key, answer, error,
+                  error ? Outcome::Failed : Outcome::Served);
+        }
+    });
+    if (!posted) {
+        // Backpressure: the queue is full, so answer this call's
+        // entries inline with the expert fallback rather than blocking
+        // the caller or erroring (reject-with-reason).
+        for (const auto &[key, request] : *opened) {
+            close(key,
+                  degradedResponse(request, "queue-saturated", 0, {}),
+                  nullptr, Outcome::Rejected);
+        }
+    }
+    return futures;
+}
 
-    // Backpressure: the queue is full, so unwind the pending entry and
-    // answer every waiter inline with the expert fallback rather than
-    // blocking the caller or erroring (reject-with-reason).
+void
+TuningService::close(const std::string &key, const TuneResponse &answer,
+                     std::exception_ptr error, Outcome outcome)
+{
     std::shared_ptr<Pending> entry;
     {
         std::lock_guard<std::mutex> lock(mutex);
         const auto it = pending.find(key);
         DAC_ASSERT(it != pending.end(), "lost a pending request");
-        entry = it->second;
+        entry = std::move(it->second);
         pending.erase(it);
     }
-    registry.counter("requests.rejected")
-        .increment(entry->waiters.size());
-    const TuneResponse rejected = degradedResponse(
-        workload, native_size, "queue-saturated", 0, wire_id);
+
     const double latency = elapsedSec(entry->submitted);
-    for (size_t i = 0; i < entry->waiters.size(); ++i) {
-        TuneResponse copy = rejected;
+    const size_t waiters = entry->waiters.size();
+    switch (outcome) {
+    case Outcome::Served:
+        for (size_t i = 0; i < waiters; ++i)
+            requestLatency.observe(latency);
+        registry.counter("requests.served").increment(waiters);
+        break;
+    case Outcome::Failed:
+        registry.counter("requests.failed").increment(waiters);
+        break;
+    case Outcome::Rejected:
+        registry.counter("requests.rejected").increment(waiters);
+        break;
+    }
+    for (size_t i = 0; i < waiters; ++i) {
+        if (error) {
+            entry->waiters[i].set_exception(error);
+            continue;
+        }
+        TuneResponse copy = answer;
         copy.coalesced = i > 0;
         copy.latencySec = latency;
         entry->waiters[i].set_value(std::move(copy));
     }
-    return future;
 }
 
-std::vector<std::future<TuneResponse>>
-TuningService::submitBatch(std::vector<TuneRequest> batch)
+void
+TuningService::settle(std::vector<PhaseTiming> &phases, uint32_t wire_id,
+                      Phase phase, double sec)
 {
-    std::vector<std::future<TuneResponse>> futures;
-    futures.reserve(batch.size());
-    if (batch.empty())
-        return futures;
-    if (batch.size() == 1) {
-        // A singleton batch is just a request; let it join the
-        // cross-request pending/coalescing machinery.
-        futures.push_back(submit(std::move(batch.front())));
-        return futures;
-    }
-
-    /** One drained readiness cycle's worth of requests. */
-    struct BatchState
-    {
-        std::vector<TuneRequest> requests;
-        std::vector<std::promise<TuneResponse>> promises;
-        std::chrono::steady_clock::time_point submitted;
+    // The flight-record checkpoint at which each Phase settles.
+    static constexpr obs::FlightPhase kSettledAt[kPhaseCount] = {
+        obs::FlightPhase::Decode,      obs::FlightPhase::QueueExit,
+        obs::FlightPhase::CacheLookup, obs::FlightPhase::ModelBuild,
+        obs::FlightPhase::Search,      obs::FlightPhase::Serialize,
     };
-    auto state = std::make_shared<BatchState>();
-    state->requests = std::move(batch);
-    state->promises.resize(state->requests.size());
-    state->submitted = std::chrono::steady_clock::now();
-    for (auto &promise : state->promises)
-        futures.push_back(promise.get_future());
-    const size_t n = state->requests.size();
-
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!accepting)
-            fatalError("TuningService::submitBatch after shutdown");
-    }
-    registry.counter("requests.submitted").increment(n);
-    registry.counter("requests.batched").increment(n);
-    registry.counter("batches.submitted").increment();
-    if (obs::FlightRecorder::enabled()) {
-        for (const TuneRequest &request : state->requests) {
-            obs::FlightRecorder::record(request.wireId,
-                                        obs::FlightPhase::QueueEnter);
-        }
-    }
-
-    // The whole batch is one pool task: back-to-back items reuse the
-    // warm model (the first miss builds it, the rest are hits),
-    // and duplicate cache keys inside the batch are answered from the
-    // first occurrence without re-searching.
-    auto work = [this, state]() {
-        std::map<std::string, size_t> firstByKey;
-        std::vector<TuneResponse> responses(state->requests.size());
-        for (size_t i = 0; i < state->requests.size(); ++i) {
-            const TuneRequest &request = state->requests[i];
-            try {
-                const std::string key = request.cacheKey();
-                const auto first = firstByKey.find(key);
-                if (first == firstByKey.end()) {
-                    responses[i] = process(request, state->submitted);
-                    firstByKey.emplace(key, i);
-                } else {
-                    responses[i] = responses[first->second];
-                    responses[i].coalesced = true;
-                    registry.counter("requests.coalesced").increment();
-                }
-                const double latency = elapsedSec(state->submitted);
-                responses[i].latencySec = latency;
-                registry.histogram("latency.request").observe(latency);
-                registry.counter("requests.served").increment();
-                // Copy, not move: a later duplicate of this key copies
-                // its answer from responses[i].
-                state->promises[i].set_value(responses[i]);
-            } catch (...) {
-                registry.counter("requests.failed").increment();
-                state->promises[i].set_exception(
-                    std::current_exception());
-            }
-        }
-    };
-
-    bool posted = true;
-    if (options.rejectWhenSaturated)
-        posted = pool.tryPost(work);
-    else
-        // Configuration-gated, same contract as the single-request
-        // path above; the serving stack never takes this branch.
-        // NOLINTNEXTLINE(dac-blocking-in-loop): gated off serving paths
-        pool.post(work);
-    if (posted)
-        return futures;
-
-    // Backpressure: degrade the whole batch inline, same contract as
-    // the single-request path.
-    registry.counter("requests.rejected").increment(n);
-    for (size_t i = 0; i < n; ++i) {
-        TuneResponse rejected = degradedResponse(
-            state->requests[i].workload, state->requests[i].nativeSize,
-            "queue-saturated", 0, state->requests[i].wireId);
-        rejected.latencySec = elapsedSec(state->submitted);
-        state->promises[i].set_value(std::move(rejected));
-    }
-    return futures;
+    const auto index = static_cast<size_t>(phase);
+    phases.push_back({phase, sec});
+    phaseHist[index]->observe(sec);
+    if (phase != Phase::Decode)
+        obs::FlightRecorder::record(wire_id, kSettledAt[index], sec);
 }
 
 TuneResponse
@@ -389,15 +309,9 @@ TuningService::process(const TuneRequest &request,
     // settles; every return path below carries whatever was measured
     // by then. The transport appends/patches serialize + write.
     std::vector<PhaseTiming> phases;
-    if (request.decodeSec > 0.0) {
-        phases.push_back({Phase::Decode, request.decodeSec});
-        registry.histogram("phase.decode").observe(request.decodeSec);
-    }
-    const double queuedSec = elapsedSec(submitted);
-    phases.push_back({Phase::Queue, queuedSec});
-    registry.histogram("phase.queue").observe(queuedSec);
-    obs::FlightRecorder::record(request.wireId,
-                                obs::FlightPhase::QueueExit, queuedSec);
+    if (request.decodeSec > 0.0)
+        settle(phases, request.wireId, Phase::Decode, request.decodeSec);
+    settle(phases, request.wireId, Phase::Queue, elapsedSec(submitted));
 
     const auto &workload =
         workloads::Registry::instance().byAbbrev(request.workload);
@@ -421,6 +335,13 @@ TuningService::process(const TuneRequest &request,
     bool builtHere = false;
     int build_retries = 0;
     double buildSec = 0.0;
+    // Every early return: the expert fallback, labeled on the span.
+    const auto degrade = [&](const char *reason) {
+        if (requestSpan.active())
+            requestSpan.attr("degraded", reason);
+        return degradedResponse(request, reason, build_retries,
+                                std::move(phases));
+    };
     const auto lookupStart = std::chrono::steady_clock::now();
     std::shared_ptr<const CachedModel> cached;
     try {
@@ -434,39 +355,18 @@ TuningService::process(const TuneRequest &request,
         });
     } catch (const DeadlineExpired &) {
         registry.counter("deadline.expired").increment();
-        if (requestSpan.active())
-            requestSpan.attr("degraded", "deadline");
-        TuneResponse degraded =
-            degradedResponse(workload.abbrev(), request.nativeSize,
-                             "deadline", build_retries, request.wireId);
-        degraded.phases = std::move(phases);
-        return degraded;
+        return degrade("deadline");
     } catch (const TransientModelError &) {
         // Retries exhausted (also surfaces to every cache waiter that
         // coalesced onto the failed build — they degrade the same way).
-        if (requestSpan.active())
-            requestSpan.attr("degraded", "model-failure");
-        TuneResponse degraded = degradedResponse(
-            workload.abbrev(), request.nativeSize, "model-failure",
-            build_retries, request.wireId);
-        degraded.phases = std::move(phases);
-        return degraded;
+        return degrade("model-failure");
     }
     // The cache-lookup phase is the coordination cost alone: total
     // getOrBuild time minus any build this request ran itself.
-    const double lookupSec =
-        std::max(0.0, elapsedSec(lookupStart) - buildSec);
-    phases.push_back({Phase::CacheLookup, lookupSec});
-    registry.histogram("phase.cache-lookup").observe(lookupSec);
-    obs::FlightRecorder::record(request.wireId,
-                                obs::FlightPhase::CacheLookup, lookupSec);
-    if (builtHere) {
-        phases.push_back({Phase::ModelBuild, buildSec});
-        registry.histogram("phase.model-build").observe(buildSec);
-        obs::FlightRecorder::record(request.wireId,
-                                    obs::FlightPhase::ModelBuild,
-                                    buildSec);
-    }
+    settle(phases, request.wireId, Phase::CacheLookup,
+           std::max(0.0, elapsedSec(lookupStart) - buildSec));
+    if (builtHere)
+        settle(phases, request.wireId, Phase::ModelBuild, buildSec);
     if (requestSpan.active())
         requestSpan.attr("model_source", builtHere ? "built" : "cache_hit");
     if (obs::Tracer::enabled()) {
@@ -493,13 +393,7 @@ TuningService::process(const TuneRequest &request,
     // model, if built, stays cached for the next request.)
     if (cancel.cancelled()) {
         registry.counter("deadline.expired").increment();
-        if (requestSpan.active())
-            requestSpan.attr("degraded", "deadline");
-        TuneResponse degraded =
-            degradedResponse(workload.abbrev(), request.nativeSize,
-                             "deadline", build_retries, request.wireId);
-        degraded.phases = std::move(phases);
-        return degraded;
+        return degrade("deadline");
     }
 
     // Search: GA against the cached model with the requested size
@@ -529,12 +423,7 @@ TuningService::process(const TuneRequest &request,
     params.cancel = &cancel;
     const double dsize = workload.bytesForSize(request.nativeSize);
     auto found = searcher.search(dsize, params, seeds);
-    const double searchSec = elapsedSec(searchStart);
-    registry.histogram("latency.search").observe(searchSec);
-    phases.push_back({Phase::Search, searchSec});
-    registry.histogram("phase.search").observe(searchSec);
-    obs::FlightRecorder::record(request.wireId, obs::FlightPhase::Search,
-                                searchSec);
+    settle(phases, request.wireId, Phase::Search, elapsedSec(searchStart));
 
     TuneResponse response;
     response.workload = workload.abbrev();
@@ -550,17 +439,11 @@ TuningService::process(const TuneRequest &request,
     if (found.ga.cancelled) {
         // Deadline fired mid-search: the GA's best-so-far is still a
         // real model-scored configuration, so return it — labeled.
-        response.degraded = true;
-        response.degradedReason = "search-truncated";
         registry.counter("deadline.expired").increment();
         registry.counter("search.truncated").increment();
-        registry.counter("requests.degraded").increment();
         if (requestSpan.active())
             requestSpan.attr("degraded", "search-truncated");
-        obs::FlightRecorder::record(request.wireId,
-                                    obs::FlightPhase::Degraded, 0.0,
-                                    obs::FlightReason::SearchTruncated);
-        obs::FlightRecorder::instance().requestDump("degraded");
+        markDegraded(response, "search-truncated", request.wireId);
     }
     return response;
 }
@@ -618,19 +501,28 @@ TuningService::maybeInjectBuildFault()
 }
 
 TuneResponse
-TuningService::degradedResponse(const std::string &workload,
-                                double native_size, std::string reason,
-                                int build_retries, uint32_t wire_id)
+TuningService::degradedResponse(const TuneRequest &request,
+                                const char *reason, int build_retries,
+                                std::vector<PhaseTiming> phases)
 {
     TuneResponse response;
-    response.workload = workload;
-    response.nativeSize = native_size;
+    response.workload = request.workload;
+    response.nativeSize = request.nativeSize;
     response.best = conf::expertSparkConfig(sim->clusterSpec());
-    response.degraded = true;
-    response.degradedReason = std::move(reason);
     response.buildRetries = build_retries;
     response.warnings =
         conf::validateForCluster(response.best, sim->clusterSpec());
+    response.phases = std::move(phases);
+    markDegraded(response, reason, request.wireId);
+    return response;
+}
+
+void
+TuningService::markDegraded(TuneResponse &response, const char *reason,
+                            uint32_t wire_id)
+{
+    response.degraded = true;
+    response.degradedReason = reason;
     registry.counter("requests.degraded").increment();
     // Black-box note + (rate-limited) dump: a degraded answer is the
     // moment the recent-event window is worth keeping.
@@ -638,7 +530,6 @@ TuningService::degradedResponse(const std::string &workload,
         wire_id, obs::FlightPhase::Degraded, 0.0,
         obs::flightReasonFromString(response.degradedReason));
     obs::FlightRecorder::instance().requestDump("degraded");
-    return response;
 }
 
 std::shared_ptr<const CachedModel>
@@ -699,7 +590,7 @@ TuningService::buildModel(const workloads::Workload &workload,
     }
 
     registry.counter("models.built").increment();
-    registry.histogram("latency.model_build").observe(elapsedSec(start));
+    buildLatency.observe(elapsedSec(start));
     return entry;
 }
 

@@ -17,8 +17,10 @@
 #ifndef DAC_SERVICE_SERVICE_H
 #define DAC_SERVICE_SERVICE_H
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <future>
 #include <map>
 #include <memory>
@@ -42,7 +44,9 @@ struct ServiceOptions
 {
     /** Worker threads (0 = one per hardware thread). */
     size_t threads = 4;
-    /** Bound on queued-but-not-running requests. */
+    /** Bound on queued-but-not-running pool tasks (one per
+     *  submitBatch call that opens an entry); past it, new requests
+     *  are answered "queue-saturated". */
     size_t queueCapacity = 256;
     /** Trained models kept resident. */
     size_t modelCacheCapacity = 16;
@@ -72,9 +76,6 @@ struct ServiceOptions
     double retryBackoffMultiplier = 2.0;
     /** Backoff ceiling, seconds; also clipped to any deadline left. */
     double retryBackoffMaxSec = 1.0;
-    /** Answer new requests with a degraded "queue-saturated" response
-     *  instead of blocking the caller when the work queue is full. */
-    bool rejectWhenSaturated = true;
 
     /**
      * Directory of model snapshots (persist/snapshot.h). Empty (the
@@ -125,21 +126,17 @@ class TuningService final : public TuningBackend
     TuningService &operator=(const TuningService &) = delete;
 
     /**
-     * Submit one tuning request; the future resolves when the request
-     * has been served (or faulted, e.g. unknown workload). Identical
-     * concurrent requests share a single computation.
-     */
-    std::future<TuneResponse> submit(TuneRequest request) override;
-
-    /**
-     * Submit requests that arrived together (one wire readiness
-     * cycle): the whole batch runs as a single pool task, so a
-     * pipelined burst costs one queue slot, repeated keys after the
-     * first are cache hits on a warm model, and duplicate
-     * requests inside the batch are answered once and shared
-     * (coalesced flag set). Responses are identical to per-request
-     * submit(); a saturated queue degrades every item to the expert
-     * configuration ("queue-saturated"), like submit().
+     * The one submission path (submit() is a batch of one). Each
+     * request joins the pending entry of an identical request already
+     * in flight, from this call or an earlier one, or opens a new
+     * entry; identical requests thus share one computation, and every
+     * waiter after the first gets the answer with `coalesced` set.
+     * The entries a call opens run in batch order as one pool task,
+     * so a pipelined burst costs one queue slot and back-to-back keys
+     * hit the warm model. When the queue is full, those entries are
+     * answered inline with the expert configuration
+     * ("queue-saturated") instead of blocking the caller. A request
+     * that faults (e.g. unknown workload) faults its futures.
      */
     std::vector<std::future<TuneResponse>>
     submitBatch(std::vector<TuneRequest> batch) override;
@@ -186,11 +183,26 @@ class TuningService final : public TuningBackend
         std::chrono::steady_clock::time_point submitted;
     };
 
+    /** How a pending entry closed; picks the counter its waiters
+     *  land in. */
+    enum class Outcome { Served, Failed, Rejected };
+
     /** Runs on a pool worker: the full pipeline for one request.
      *  `submitted` is when the request entered the queue (queue-wait
      *  phase = pickup minus submitted). */
     TuneResponse process(const TuneRequest &request,
                          std::chrono::steady_clock::time_point submitted);
+    /** Close `key`'s pending entry: account for every waiter first (a
+     *  waiter may read the counters the instant its future resolves),
+     *  then fulfil each with `answer` (`coalesced` after the first) or
+     *  with `error`. The only place an entry closes. */
+    void close(const std::string &key, const TuneResponse &answer,
+               std::exception_ptr error, Outcome outcome);
+    /** Record one settled phase in all three places: `phases`, its
+     *  phase.<phaseName()> histogram and, except for decode (which
+     *  the transport records on its own thread), its flight record. */
+    void settle(std::vector<PhaseTiming> &phases, uint32_t wire_id,
+                Phase phase, double sec);
     /** Build (collect + model) the cache entry for one request;
      *  `cancel` stops HM refinement between rounds on expiry. */
     std::shared_ptr<const CachedModel> buildModel(
@@ -204,16 +216,25 @@ class TuningService final : public TuningBackend
     /** Deterministic injected build fault (ServiceOptions::faults);
      *  also counts every build attempt in the metrics. */
     void maybeInjectBuildFault();
-    /** Expert-configuration fallback answer, labeled degraded; also
-     *  drops a flight-recorder event (tagged `wire_id`) and asks for a
+    /** Expert-configuration fallback answer to `request`, labeled
+     *  degraded and carrying the `phases` measured before it stopped. */
+    TuneResponse degradedResponse(const TuneRequest &request,
+                                  const char *reason, int build_retries,
+                                  std::vector<PhaseTiming> phases);
+    /** Label `response` degraded for `reason`: counts it, drops a
+     *  flight-recorder event (tagged `wire_id`) and asks for a
      *  rate-limited flight dump. */
-    TuneResponse degradedResponse(const std::string &workload,
-                                  double native_size, std::string reason,
-                                  int build_retries, uint32_t wire_id = 0);
+    void markDegraded(TuneResponse &response, const char *reason,
+                      uint32_t wire_id);
 
     const sparksim::SparkSimulator *sim;
     ServiceOptions options;
     obs::MetricsRegistry registry;
+    // Histograms a request records into, resolved once at
+    // construction so serving never looks one up by name.
+    std::array<obs::Histogram *, kPhaseCount> phaseHist{};
+    obs::Histogram &requestLatency;
+    obs::Histogram &buildLatency;
     ModelCache cache;
     /** Service-wide model-build attempt index (fault hook keys its
      *  deterministic draws on this). */

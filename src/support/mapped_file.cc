@@ -207,9 +207,9 @@ atomicWriteFile(const std::string &path, const void *data, size_t len,
         return false;
     }
     // Make the rename itself durable: fsync the containing directory.
-    std::string dir = std::filesystem::path(path).parent_path().string();
-    if (dir.empty())
-        dir = ".";
+    const std::filesystem::path parent =
+        std::filesystem::path(path).parent_path();
+    const std::string dir = parent.empty() ? "." : parent.string();
     int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
     if (dfd >= 0) {
         ::fsync(dfd);

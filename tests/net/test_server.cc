@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <future>
 #include <mutex>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "obs/flight_recorder.h"
 #include "service/service.h"
 #include "sparksim/simulator.h"
 
@@ -532,6 +534,161 @@ TEST(TuningServer, FlightDumpFrameReturnsParseableWindow)
 
     client.close();
     server.stop();
+}
+
+/** Tiny tuning budget for tests that run the real pipeline. */
+service::ServiceOptions
+tinyServiceOptions()
+{
+    service::ServiceOptions options;
+    options.threads = 2;
+    options.tuning.collect.datasetCount = 4;
+    options.tuning.collect.runsPerDataset = 12;
+    options.tuning.hm.firstOrder.maxTrees = 30;
+    options.tuning.ga.maxGenerations = 8;
+    return options;
+}
+
+/** One tune request over a fresh raw connection under wire id `id`. */
+service::TuneResponse
+tuneOver(uint16_t port, uint32_t id, const service::TuneRequest &request)
+{
+    Socket raw = connectTcp("127.0.0.1", port);
+    const auto frame =
+        encodeFrame(MsgType::TuneRequest, id, encodeTuneRequest(request));
+    EXPECT_TRUE(writeAll(raw.fd(), frame.data(), frame.size()));
+    FrameDecoder decoder;
+    const Frame reply = readFrame(raw, decoder);
+    EXPECT_EQ(reply.type, MsgType::TuneResponse);
+    EXPECT_EQ(reply.requestId, id);
+    return decodeTuneResponse(reply.payload, conf::ConfigSpace::spark(),
+                              reply.version);
+}
+
+std::vector<service::Phase>
+phaseKinds(const service::TuneResponse &response)
+{
+    std::vector<service::Phase> kinds;
+    for (const auto &timing : response.phases)
+        kinds.push_back(timing.phase);
+    return kinds;
+}
+
+/** Phase counts of the phase.* histograms, indexed by Phase. */
+std::vector<uint64_t>
+phaseCounts(obs::MetricsRegistry &metrics)
+{
+    std::vector<uint64_t> counts;
+    for (size_t i = 0; i < service::kPhaseCount; ++i) {
+        counts.push_back(
+            metrics
+                .histogram(std::string("phase.") +
+                           service::phaseName(static_cast<service::Phase>(i)))
+                .count());
+    }
+    return counts;
+}
+
+const std::vector<service::Phase> kWarmPhases = {
+    service::Phase::Decode, service::Phase::Queue,
+    service::Phase::CacheLookup, service::Phase::Search,
+    service::Phase::Serialize};
+
+/**
+ * A settled phase lands in three records: the response's phase list,
+ * its phase.* histogram and its flight record. They must agree.
+ */
+TEST(TuningServer, PhasesAgreeAcrossResponseHistogramsAndFlightRecords)
+{
+    using service::Phase;
+    sparksim::SparkSimulator sim(cluster::ClusterSpec::paperTestbed());
+    service::TuningService service(sim, tinyServiceOptions());
+    ServerOptions options;
+    options.metrics = &service.metrics();
+    TuningServer server(service, options);
+    server.start();
+
+    // Wire ids no other test in this binary uses, so the flight
+    // records are this test's alone.
+    constexpr uint32_t kColdId = 0x51A5E001;
+    constexpr uint32_t kWarmId = 0x51A5E002;
+    const service::TuneRequest request = makeRequest("TS", 40.0);
+    const auto before = phaseCounts(service.metrics());
+    const auto cold = tuneOver(server.port(), kColdId, request);
+    const auto afterCold = phaseCounts(service.metrics());
+    const auto warm = tuneOver(server.port(), kWarmId, request);
+    const auto afterWarm = phaseCounts(service.metrics());
+    server.stop();
+
+    EXPECT_EQ(phaseKinds(cold),
+              (std::vector<Phase>{Phase::Decode, Phase::Queue,
+                                  Phase::CacheLookup, Phase::ModelBuild,
+                                  Phase::Search, Phase::Serialize}));
+    EXPECT_EQ(phaseKinds(warm), kWarmPhases);
+
+    // One observation per request that reached the phase.
+    for (size_t i = 0; i < service::kPhaseCount; ++i) {
+        const auto phase = static_cast<Phase>(i);
+        EXPECT_EQ(afterCold[i] - before[i], 1u) << service::phaseName(phase);
+        EXPECT_EQ(afterWarm[i] - afterCold[i],
+                  phase == Phase::ModelBuild ? 0u : 1u)
+            << service::phaseName(phase);
+    }
+
+    // The checkpoint each phase's flight record is taken at.
+    const obs::FlightPhase settledAt[service::kPhaseCount] = {
+        obs::FlightPhase::Decode,      obs::FlightPhase::QueueExit,
+        obs::FlightPhase::CacheLookup, obs::FlightPhase::ModelBuild,
+        obs::FlightPhase::Search,      obs::FlightPhase::Serialize};
+    const auto records = obs::FlightRecorder::instance().snapshot(600.0);
+    const auto checkFlight = [&](uint32_t id,
+                                 const service::TuneResponse &response) {
+        for (const auto &timing : response.phases) {
+            size_t seen = 0;
+            for (const obs::FlightRecord &record : records) {
+                if (record.requestId != id ||
+                    record.phase !=
+                        settledAt[static_cast<size_t>(timing.phase)])
+                    continue;
+                ++seen;
+                EXPECT_EQ(std::bit_cast<uint64_t>(record.valueSec),
+                          std::bit_cast<uint64_t>(timing.sec))
+                    << service::phaseName(timing.phase);
+            }
+            EXPECT_EQ(seen, 1u) << service::phaseName(timing.phase);
+        }
+    };
+    checkFlight(kColdId, cold);
+    checkFlight(kWarmId, warm);
+}
+
+/**
+ * The phase list belongs to the answer, not to the observability: a
+ * server without metrics, with the flight recorder off, reports the
+ * same phases.
+ */
+TEST(TuningServer, PhasesDoNotDependOnObservability)
+{
+    sparksim::SparkSimulator sim(cluster::ClusterSpec::paperTestbed());
+    service::TuningService service(sim, tinyServiceOptions());
+    ServerOptions observedOptions;
+    observedOptions.metrics = &service.metrics();
+    TuningServer observed(service, observedOptions);
+    TuningServer bare(service, ServerOptions{});
+    observed.start();
+    bare.start();
+
+    const service::TuneRequest request = makeRequest("TS", 40.0);
+    ASSERT_FALSE(service.submit(request).get().degraded); // warm the key
+    const auto withObs = tuneOver(observed.port(), 0x51A5E003, request);
+    obs::FlightRecorder::instance().setEnabled(false);
+    const auto withoutObs = tuneOver(bare.port(), 0x51A5E004, request);
+    obs::FlightRecorder::instance().setEnabled(true);
+    observed.stop();
+    bare.stop();
+
+    EXPECT_EQ(phaseKinds(withObs), kWarmPhases);
+    EXPECT_EQ(phaseKinds(withoutObs), kWarmPhases);
 }
 
 } // namespace

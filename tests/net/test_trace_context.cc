@@ -195,6 +195,37 @@ TEST_F(TraceContextTest, BatchItemsGetDistinctTraceIds)
     EXPECT_EQ(adoptedParents.size(), 3u);
 }
 
+TEST_F(TraceContextTest, BatchRootSpanCoversEveryServerRequest)
+{
+    std::vector<service::TuneRequest> batch;
+    batch.push_back(makeRequest("TS", 40.0));
+    batch.push_back(makeRequest("WC", 80.0));
+    batch.push_back(makeRequest("KM", 200.0));
+    (void)client->requestBatch(batch);
+    obs::Tracer::instance().setEnabled(false);
+    const obs::TraceLog log = obs::Tracer::instance().snapshot();
+
+    // One client-side root span lasts until the batch's last reply...
+    std::vector<const obs::TraceEvent *> roots;
+    for (const auto &event : log.events)
+        if (event.isSpan && event.parent == 0)
+            roots.push_back(&event);
+    ASSERT_EQ(roots.size(), 1u);
+    EXPECT_EQ(roots[0]->name, "net.client.batch");
+
+    // ...so every server request span of the batch lies inside it.
+    const double rootEnd = roots[0]->startSec + roots[0]->durSec;
+    size_t requests = 0;
+    for (const auto &event : log.events) {
+        if (event.name != "request")
+            continue;
+        ++requests;
+        EXPECT_GE(event.startSec, roots[0]->startSec);
+        EXPECT_LE(event.startSec + event.durSec, rootEnd);
+    }
+    EXPECT_EQ(requests, 3u);
+}
+
 TEST_F(TraceContextTest, CallerPinnedTraceIdWins)
 {
     service::TuneRequest request = makeRequest("TS", 40.0);

@@ -174,8 +174,9 @@ TEST_F(TracerTest, ThreadPoolFanOutStaysOneTree)
     // of which thread ran it.
     EXPECT_TRUE(shapes[0].count({"body", "loop"}));
     for (const auto &[name, parent] : shapes[0]) {
-        if (name == "body")
+        if (name == "body") {
             EXPECT_EQ(parent, "loop");
+        }
     }
 }
 

@@ -177,7 +177,9 @@ TEST(ModelCacheSharding, MultithreadedHammerLosesNoCoalescing)
         threads.emplace_back([&, t]() {
             for (int i = 0; i < kOpsPerThread; ++i) {
                 const int which = (t + i) % kKeys;
-                const ModelKey k = key("K" + std::to_string(which));
+                std::string name = "K";
+                name += std::to_string(which);
+                const ModelKey k = key(name);
                 const auto model = cache.getOrBuild(k, [&]() {
                     builds[which].fetch_add(1,
                                             std::memory_order_relaxed);

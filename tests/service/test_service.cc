@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <chrono>
 #include <future>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -37,6 +40,30 @@ request(const std::string &workload, double size, uint64_t seed = 17)
     req.nativeSize = size;
     req.seed = seed;
     return req;
+}
+
+/** `a` and `b` are the same answer bit for bit (coalesced and
+ *  latencySec aside, which describe the delivery, not the answer). */
+void
+expectSameAnswer(const TuneResponse &a, const TuneResponse &b)
+{
+    EXPECT_EQ(a.workload, b.workload);
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.nativeSize),
+              std::bit_cast<uint64_t>(b.nativeSize));
+    EXPECT_EQ(a.best.values(), b.best.values());
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.predictedTimeSec),
+              std::bit_cast<uint64_t>(b.predictedTimeSec));
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.modelErrorPct),
+              std::bit_cast<uint64_t>(b.modelErrorPct));
+    EXPECT_EQ(a.modelCacheHit, b.modelCacheHit);
+    EXPECT_EQ(a.degraded, b.degraded);
+    EXPECT_EQ(a.warnings.size(), b.warnings.size());
+    ASSERT_EQ(a.phases.size(), b.phases.size());
+    for (size_t i = 0; i < a.phases.size(); ++i) {
+        EXPECT_EQ(a.phases[i].phase, b.phases[i].phase);
+        EXPECT_EQ(std::bit_cast<uint64_t>(a.phases[i].sec),
+                  std::bit_cast<uint64_t>(b.phases[i].sec));
+    }
 }
 
 TEST(TuningService, ServesAValidConfiguration)
@@ -163,6 +190,69 @@ TEST(TuningService, ConcurrentIdenticalRequestsCoalesce)
     EXPECT_EQ(service.metrics().counterValue("requests.coalesced"),
               static_cast<uint64_t>(kClients - 1));
     EXPECT_EQ(service.cacheStats().misses, 1u);
+}
+
+TEST(TuningService, BatchSearchesInBatchDuplicatesOnce)
+{
+    sparksim::SparkSimulator sim(cluster::ClusterSpec::paperTestbed());
+    TuningService service(sim, fastOptions());
+
+    std::vector<TuneRequest> batch;
+    batch.push_back(request("TS", 40));
+    batch.push_back(request("TS", 40, 18));
+    batch.push_back(request("TS", 40));
+    batch.push_back(request("TS", 40));
+    auto futures = service.submitBatch(batch);
+    ASSERT_EQ(futures.size(), 4u);
+    std::vector<TuneResponse> responses;
+    for (auto &f : futures)
+        responses.push_back(f.get());
+
+    // Two distinct requests, two searches; the duplicates share the
+    // first occurrence's answer.
+    EXPECT_EQ(service.metrics().histogram("phase.search").count(), 2u);
+    EXPECT_FALSE(responses[0].coalesced);
+    EXPECT_FALSE(responses[1].coalesced);
+    for (const size_t i : {2, 3}) {
+        EXPECT_TRUE(responses[i].coalesced) << i;
+        expectSameAnswer(responses[i], responses[0]);
+    }
+    EXPECT_NE(responses[1].best.values(), responses[0].best.values());
+    EXPECT_EQ(service.metrics().counterValue("requests.coalesced"), 2u);
+    EXPECT_EQ(service.metrics().counterValue("requests.served"), 4u);
+}
+
+TEST(TuningService, BatchItemJoinsAnInFlightSubmit)
+{
+    sparksim::SparkSimulator sim(cluster::ClusterSpec::paperTestbed());
+    ServiceOptions opt = fastOptions(1);
+    // Hold the first request in flight: its first build attempt fails
+    // and it backs off long enough for the batch to arrive.
+    opt.faults.failFirstModelBuilds = 1;
+    opt.retryBackoffInitialSec = 0.5;
+    opt.retryBackoffMaxSec = 0.5;
+    TuningService service(sim, opt);
+
+    auto first = service.submit(request("TS", 40));
+    while (service.metrics().counterValue("model_build.attempts") == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::vector<TuneRequest> batch;
+    batch.push_back(request("TS", 40));
+    batch.push_back(request("WC", 80));
+    auto futures = service.submitBatch(batch);
+    ASSERT_EQ(futures.size(), 2u);
+
+    const TuneResponse original = first.get();
+    const TuneResponse joined = futures[0].get();
+    EXPECT_FALSE(futures[1].get().coalesced);
+    EXPECT_FALSE(original.coalesced);
+    EXPECT_EQ(original.buildRetries, 1);
+    // The batch item joined the in-flight request instead of searching
+    // again: two distinct requests, two searches.
+    EXPECT_TRUE(joined.coalesced);
+    expectSameAnswer(joined, original);
+    EXPECT_EQ(service.metrics().histogram("phase.search").count(), 2u);
+    EXPECT_EQ(service.metrics().counterValue("requests.coalesced"), 1u);
 }
 
 TEST(TuningService, ResponsesAreDeterministicAcrossThreadCounts)

@@ -110,6 +110,52 @@ TEST(TuningServiceStress, TinyDeadlineDegradesWithinIt)
     EXPECT_LT(took, 5.0);
 }
 
+std::vector<Phase>
+phaseKinds(const TuneResponse &response)
+{
+    std::vector<Phase> kinds;
+    for (const PhaseTiming &timing : response.phases)
+        kinds.push_back(timing.phase);
+    return kinds;
+}
+
+TEST(TuningServiceStress, DegradedAnswersKeepTheirPhases)
+{
+    sparksim::SparkSimulator sim(cluster::ClusterSpec::paperTestbed());
+
+    // model-failure: decode (as a transport stamps it) and the queue
+    // wait were measured before the build gave up.
+    ServiceOptions failing = stressOptions();
+    failing.faults.failFirstModelBuilds = 100;
+    failing.modelBuildMaxRetries = 0;
+    TuningService failService(sim, failing);
+    TuneRequest stamped = request("TS", 40);
+    stamped.decodeSec = 0.25;
+    const auto failed = failService.submit(stamped).get();
+    EXPECT_EQ(failed.degradedReason, "model-failure");
+    EXPECT_EQ(phaseKinds(failed),
+              (std::vector<Phase>{Phase::Decode, Phase::Queue}));
+    EXPECT_EQ(failed.phaseSec(Phase::Decode), 0.25);
+
+    // deadline, twice: expired before the build could start (only the
+    // queue wait measured), and expired after a warm cache lookup but
+    // before the search.
+    TuningService service(sim, stressOptions());
+    TuneRequest cold = request("WC", 80);
+    cold.deadlineSec = 1e-9;
+    const auto expiredCold = service.submit(cold).get();
+    EXPECT_EQ(expiredCold.degradedReason, "deadline");
+    EXPECT_EQ(phaseKinds(expiredCold), std::vector<Phase>{Phase::Queue});
+
+    ASSERT_FALSE(service.submit(request("TS", 40)).get().degraded);
+    TuneRequest warm = request("TS", 40, 18);
+    warm.deadlineSec = 1e-9;
+    const auto expiredWarm = service.submit(warm).get();
+    EXPECT_EQ(expiredWarm.degradedReason, "deadline");
+    EXPECT_EQ(phaseKinds(expiredWarm),
+              (std::vector<Phase>{Phase::Queue, Phase::CacheLookup}));
+}
+
 TEST(TuningServiceStress, NegativeDeadlineDisablesTheDefault)
 {
     sparksim::SparkSimulator sim(cluster::ClusterSpec::paperTestbed());

@@ -45,8 +45,10 @@ TEST(Json, ParsesStringEscapes)
 TEST(Json, EscapeAndParseRoundTrip)
 {
     const std::string nasty = "quote\" slash\\ newline\n tab\t";
-    const JsonValue back =
-        parseJson("\"" + jsonEscape(nasty) + "\"");
+    std::string quoted = "\"";
+    quoted += jsonEscape(nasty);
+    quoted += '"';
+    const JsonValue back = parseJson(quoted);
     EXPECT_EQ(back.text, nasty);
 }
 
