@@ -1,11 +1,11 @@
 /**
  * @file
- * The dac-analyze cross-TU index: merges per-file summaries
+ * The cross-TU index: merges per-file summaries
  * (indexer.h) into one program view — a name-resolved call graph, a
  * may-block fixpoint with witness chains, per-function transitive
  * lock-acquisition sets, and a whole-program lock-order graph whose
- * edges remember where they were observed. The four program rules
- * (program_rules.h) are thin queries over this.
+ * edges remember where they were observed. The rules' checkProgram
+ * hooks (rule.h) are thin queries over this.
  *
  * Call resolution is deliberately conservative: `::name(...)` (libc)
  * and a long list of std/container member names never resolve, a

@@ -61,7 +61,7 @@ lastComponent(const std::string &receiver)
 
 /**
  * The whole per-file walk. One instance per summarizeFile() call;
- * `toks` holds the lexed tokens with preprocessor-directive lines and
+ * `toks` holds the file's tokens with preprocessor-directive lines and
  * `#if 0` regions dropped.
  */
 struct Walker
@@ -70,12 +70,14 @@ struct Walker
     std::vector<Token> toks;
     FileSummary &out;
 
-    Walker(const SourceFile &f, FileSummary &o) : file(f), out(o)
+    Walker(const SourceFile &f, const std::vector<Token> &tokens,
+           FileSummary &o)
+        : file(f), out(o)
     {
-        for (Token &t : lex(f)) {
+        for (const Token &t : tokens) {
             if (file.ppDirective(t.line) || file.inDisabledRegion(t.line))
                 continue;
-            toks.push_back(std::move(t));
+            toks.push_back(t);
         }
     }
 
@@ -858,11 +860,11 @@ struct Walker
 } // namespace
 
 FileSummary
-summarizeFile(SourceFile file)
+summarizeFile(SourceFile file, const std::vector<Token> &tokens)
 {
     FileSummary summary;
     {
-        Walker walker(file, summary);
+        Walker walker(file, tokens, summary);
         walker.run();
     }
     summary.source = std::move(file);

@@ -1,8 +1,9 @@
 /**
  * @file
- * The dac-lint rule interface. A Rule inspects one pre-lexed file and
- * emits Findings; the Linter (linter.h) owns the registry, applies
- * NOLINT suppressions, and renders reports.
+ * The dac-lint rule interface. A Rule inspects one pre-lexed file
+ * (checkFile), the merged whole-program index (checkProgram), or both,
+ * and emits Findings; the Checker (checker.h) owns the registry,
+ * applies NOLINT suppressions, and renders reports.
  */
 
 #ifndef DAC_ANALYSIS_RULE_H
@@ -16,6 +17,8 @@
 #include "analysis/source.h"
 
 namespace dac::analysis {
+
+class ProgramIndex;
 
 /** One diagnostic: a rule violated at a source position. */
 struct Finding
@@ -35,8 +38,10 @@ struct FileContext
 };
 
 /**
- * A project-invariant check. Implementations are stateless: check()
- * may run over any number of files in any order.
+ * A project-invariant check. Implementations are stateless: a check
+ * may run over any number of files or indexes in any order. A rule
+ * overrides the hook its invariant needs; the other stays empty.
+ * Suppressions are applied later by the Checker.
  */
 class Rule
 {
@@ -49,9 +54,18 @@ class Rule
     /** One-line description for --list-rules and reports. */
     virtual const char *description() const = 0;
 
-    /** Append findings for one file (suppressions applied later). */
-    virtual void check(const FileContext &ctx,
-                       std::vector<Finding> &out) const = 0;
+    /** Append findings for one file. */
+    virtual void
+    checkFile(const FileContext &, std::vector<Finding> &) const
+    {
+    }
+
+    /** Append findings that need the whole program: the cross-TU
+     *  call graph, lock graph, and enum/switch inventory. */
+    virtual void
+    checkProgram(const ProgramIndex &, std::vector<Finding> &) const
+    {
+    }
 };
 
 } // namespace dac::analysis

@@ -1,7 +1,5 @@
 #include "analysis/rules.h"
 
-#include "analysis/program_rules.h"
-
 namespace dac::analysis {
 
 std::vector<std::unique_ptr<Rule>>
@@ -14,19 +12,11 @@ builtinRules()
     rules.push_back(makeLockHygieneRule());
     rules.push_back(makeIncludeHygieneRule());
     rules.push_back(makeUnitsRule());
-    rules.push_back(makeNolintNakedRule());
-    return rules;
-}
-
-std::vector<std::unique_ptr<ProgramRule>>
-builtinProgramRules()
-{
-    std::vector<std::unique_ptr<ProgramRule>> rules;
     rules.push_back(makeLockOrderRule());
     rules.push_back(makeBlockingInLoopRule());
     rules.push_back(makeEnumSwitchRule());
     rules.push_back(makePayloadBoundsRule());
-    rules.push_back(makeNolintNakedProgramRule());
+    rules.push_back(makeNolintNakedRule());
     return rules;
 }
 

@@ -49,7 +49,7 @@ class AtomicOrderRule final : public Rule
     }
 
     void
-    check(const FileContext &ctx, std::vector<Finding> &out) const override
+    checkFile(const FileContext &ctx, std::vector<Finding> &out) const override
     {
         const auto &toks = ctx.tokens;
         for (size_t i = 1; i + 1 < toks.size(); ++i) {

@@ -1,6 +1,8 @@
-#include "analysis/program_rules.h"
+#include "analysis/rules.h"
 
 #include <set>
+
+#include "analysis/index.h"
 
 namespace dac::analysis {
 
@@ -29,7 +31,7 @@ dirOf(const std::string &path)
  * handed off via post()/tryPost()/std::thread does not taint the
  * loop.
  */
-class BlockingInLoopRule final : public ProgramRule
+class BlockingInLoopRule final : public Rule
 {
   public:
     const char *
@@ -46,8 +48,8 @@ class BlockingInLoopRule final : public ProgramRule
     }
 
     void
-    check(const ProgramIndex &index,
-          std::vector<Finding> &out) const override
+    checkProgram(const ProgramIndex &index,
+                 std::vector<Finding> &out) const override
     {
         std::set<std::string> reported;
         for (const FileSummary &file : index.files()) {
@@ -131,7 +133,7 @@ class BlockingInLoopRule final : public ProgramRule
 
 } // namespace
 
-std::unique_ptr<ProgramRule>
+std::unique_ptr<Rule>
 makeBlockingInLoopRule()
 {
     return std::make_unique<BlockingInLoopRule>();

@@ -1,6 +1,8 @@
-#include "analysis/program_rules.h"
+#include "analysis/rules.h"
 
 #include <algorithm>
+
+#include "analysis/index.h"
 
 namespace dac::analysis {
 
@@ -16,7 +18,7 @@ namespace {
  * definition and the switch usually live in different files; this is
  * a cross-TU check.
  */
-class EnumSwitchRule final : public ProgramRule
+class EnumSwitchRule final : public Rule
 {
   public:
     const char *
@@ -33,8 +35,8 @@ class EnumSwitchRule final : public ProgramRule
     }
 
     void
-    check(const ProgramIndex &index,
-          std::vector<Finding> &out) const override
+    checkProgram(const ProgramIndex &index,
+                 std::vector<Finding> &out) const override
     {
         const auto &enums = index.enums();
         for (const FileSummary &file : index.files()) {
@@ -76,7 +78,7 @@ class EnumSwitchRule final : public ProgramRule
 
 } // namespace
 
-std::unique_ptr<ProgramRule>
+std::unique_ptr<Rule>
 makeEnumSwitchRule()
 {
     return std::make_unique<EnumSwitchRule>();

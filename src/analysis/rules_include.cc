@@ -63,7 +63,7 @@ class IncludeHygieneRule final : public Rule
     }
 
     void
-    check(const FileContext &ctx, std::vector<Finding> &out) const override
+    checkFile(const FileContext &ctx, std::vector<Finding> &out) const override
     {
         const std::string from = moduleOf(ctx.file.path());
         const auto &ranks = layerRanks();

@@ -93,7 +93,7 @@ class LockHygieneRule final : public Rule
     }
 
     void
-    check(const FileContext &ctx, std::vector<Finding> &out) const override
+    checkFile(const FileContext &ctx, std::vector<Finding> &out) const override
     {
         const auto &toks = ctx.tokens;
 

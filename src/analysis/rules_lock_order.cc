@@ -1,4 +1,6 @@
-#include "analysis/program_rules.h"
+#include "analysis/rules.h"
+
+#include "analysis/index.h"
 
 namespace dac::analysis {
 
@@ -12,7 +14,7 @@ namespace {
  * acquired what with what held, across files — so the report is
  * actionable without re-running the analysis.
  */
-class LockOrderRule final : public ProgramRule
+class LockOrderRule final : public Rule
 {
   public:
     const char *
@@ -28,8 +30,8 @@ class LockOrderRule final : public ProgramRule
     }
 
     void
-    check(const ProgramIndex &index,
-          std::vector<Finding> &out) const override
+    checkProgram(const ProgramIndex &index,
+                 std::vector<Finding> &out) const override
     {
         for (const auto &cycle : index.lockCycles()) {
             // cycle: [a, b, ..., a]
@@ -68,7 +70,7 @@ class LockOrderRule final : public ProgramRule
 
 } // namespace
 
-std::unique_ptr<ProgramRule>
+std::unique_ptr<Rule>
 makeLockOrderRule()
 {
     return std::make_unique<LockOrderRule>();

@@ -1,72 +1,35 @@
-#include "analysis/program_rules.h"
 #include "analysis/rules.h"
 
 namespace dac::analysis {
 
 namespace {
 
-const char kNolintNakedName[] = "dac-nolint-naked";
-const char kNolintNakedDescription[] =
-    "suppression comments must name the rule they silence";
-
-void
-appendNakedFindings(const SourceFile &file, std::vector<Finding> &out)
-{
-    for (const NakedNolint &marker : file.nakedNolints()) {
-        out.push_back(Finding{
-            kNolintNakedName, file.path(), marker.line, 1,
-            "bare " + marker.marker +
-                " silences every rule forever; name the rule(s) it "
-                "suppresses, e.g. " + marker.marker +
-                "(dac-lock-order), and say why in the comment"});
-    }
-}
-
-/** dac_lint's per-file form. */
 class NolintNakedRule final : public Rule
 {
   public:
     const char *
     name() const override
     {
-        return kNolintNakedName;
+        return "dac-nolint-naked";
     }
 
     const char *
     description() const override
     {
-        return kNolintNakedDescription;
+        return "suppression comments must name the rule they silence";
     }
 
     void
-    check(const FileContext &ctx, std::vector<Finding> &out) const override
+    checkFile(const FileContext &ctx, std::vector<Finding> &out) const override
     {
-        appendNakedFindings(ctx.file, out);
-    }
-};
-
-/** dac_analyze's program form (same findings, whole tree). */
-class NolintNakedProgramRule final : public ProgramRule
-{
-  public:
-    const char *
-    name() const override
-    {
-        return kNolintNakedName;
-    }
-
-    const char *
-    description() const override
-    {
-        return kNolintNakedDescription;
-    }
-
-    void
-    check(const ProgramIndex &index,
-          std::vector<Finding> &out) const override
-    {
-        for (const FileSummary &file : index.files())
-            appendNakedFindings(file.source, out);
+        for (const NakedNolint &marker : ctx.file.nakedNolints()) {
+            out.push_back(Finding{
+                name(), ctx.file.path(), marker.line, 1,
+                "bare " + marker.marker +
+                    " silences every rule forever; name the rule(s) it "
+                    "suppresses, e.g. " + marker.marker +
+                    "(dac-lock-order), and say why in the comment"});
+        }
     }
 };
 
@@ -76,12 +39,6 @@ std::unique_ptr<Rule>
 makeNolintNakedRule()
 {
     return std::make_unique<NolintNakedRule>();
-}
-
-std::unique_ptr<ProgramRule>
-makeNolintNakedProgramRule()
-{
-    return std::make_unique<NolintNakedProgramRule>();
 }
 
 } // namespace dac::analysis

@@ -1,8 +1,9 @@
-#include "analysis/program_rules.h"
+#include "analysis/rules.h"
 
 #include <map>
 #include <set>
 
+#include "analysis/index.h"
 #include "analysis/lexer.h"
 #include "support/string_utils.h"
 
@@ -49,7 +50,7 @@ isRelational(const std::string &text)
  * named frame ceiling, kMaxPayloadBytes, so the cap has exactly one
  * definition.
  */
-class PayloadBoundsRule final : public ProgramRule
+class PayloadBoundsRule final : public Rule
 {
   public:
     const char *
@@ -66,19 +67,19 @@ class PayloadBoundsRule final : public ProgramRule
     }
 
     void
-    check(const ProgramIndex &index,
-          std::vector<Finding> &out) const override
+    checkProgram(const ProgramIndex &index,
+                 std::vector<Finding> &out) const override
     {
         for (const FileSummary &file : index.files()) {
             if (!isNetFile(file.source.path()))
                 continue;
-            checkFile(file, out);
+            checkNetFile(file, out);
         }
     }
 
   private:
     void
-    checkFile(const FileSummary &file, std::vector<Finding> &out) const
+    checkNetFile(const FileSummary &file, std::vector<Finding> &out) const
     {
         const std::vector<Token> toks = lex(file.source);
 
@@ -195,7 +196,7 @@ class PayloadBoundsRule final : public ProgramRule
 
 } // namespace
 
-std::unique_ptr<ProgramRule>
+std::unique_ptr<Rule>
 makePayloadBoundsRule()
 {
     return std::make_unique<PayloadBoundsRule>();

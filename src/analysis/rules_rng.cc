@@ -70,7 +70,7 @@ class RngDisciplineRule final : public Rule
     }
 
     void
-    check(const FileContext &ctx, std::vector<Finding> &out) const override
+    checkFile(const FileContext &ctx, std::vector<Finding> &out) const override
     {
         const std::string &path = ctx.file.path();
         const bool isRngImpl =

@@ -33,7 +33,7 @@ class SpanPairingRule final : public Rule
     }
 
     void
-    check(const FileContext &ctx, std::vector<Finding> &out) const override
+    checkFile(const FileContext &ctx, std::vector<Finding> &out) const override
     {
         const auto &toks = ctx.tokens;
         for (size_t i = 0; i < toks.size(); ++i) {

@@ -31,7 +31,7 @@ class UnitsRule final : public Rule
     }
 
     void
-    check(const FileContext &ctx, std::vector<Finding> &out) const override
+    checkFile(const FileContext &ctx, std::vector<Finding> &out) const override
     {
         if (ctx.file.path().find("support/units.h") != std::string::npos)
             return;

@@ -1,16 +1,16 @@
 /**
  * @file
- * The dac-analyze data model: what the per-file indexer (indexer.h)
+ * The whole-program data model: what the per-file indexer (indexer.h)
  * extracts from one translation unit, and what the cross-TU
  * ProgramIndex (index.h) merges. Everything here is plain data — the
- * indexer fills it in one token walk, the index links it, the program
- * rules (program_rules.h) read it.
+ * indexer fills it in one token walk, the index links it, the rules'
+ * checkProgram hooks (rule.h) read it.
  *
  * The model is deliberately coarse: function bodies are summarized as
  * flat lists of call sites / lock acquisitions / blocking operations,
  * each carrying the set of locks held at that point. That is enough
  * for lock-order cycles and blocking-reachability, which are the
- * whole-program properties dac_lint's single-file rules cannot see.
+ * whole-program properties a single-file check cannot see.
  */
 
 #ifndef DAC_ANALYSIS_SUMMARY_H

@@ -457,9 +457,8 @@ TuningServer::dispatchBatch(const std::shared_ptr<Connection> &conn,
                         payload.size(), versions[i]);
             counters.framesSent.fetch_add(1, std::memory_order_relaxed);
         }
-        const uint32_t firstId = ids.empty() ? 0 : ids.front();
         obs::Histogram *write_hist = writeHist;
-        home->loop.runInLoop([weak, firstId, write_hist,
+        home->loop.runInLoop([weak, ids = std::move(ids), write_hist,
                               replies = std::move(replies)]() {
             auto conn = weak.lock();
             if (!conn)
@@ -467,10 +466,14 @@ TuningServer::dispatchBatch(const std::shared_ptr<Connection> &conn,
             const auto writeStart = std::chrono::steady_clock::now();
             conn->send(replies);
             const double writeSec = elapsedSec(writeStart);
-            if (write_hist != nullptr)
-                write_hist->observe(writeSec);
-            obs::FlightRecorder::record(firstId, obs::FlightPhase::Write,
-                                        writeSec);
+            // One send carries every reply of the batch, so each
+            // request's write phase is that send.
+            for (const uint32_t id : ids) {
+                if (write_hist != nullptr)
+                    write_hist->observe(writeSec);
+                obs::FlightRecorder::record(id, obs::FlightPhase::Write,
+                                            writeSec);
+            }
         });
     };
     if (replyPool->tryPost(std::move(task)))

@@ -152,6 +152,13 @@ FlightRecorder::threadRing()
 }
 
 void
+FlightRecorder::attachThread()
+{
+    if (enabled())
+        (void)instance().threadRing();
+}
+
+void
 FlightRecorder::record(uint64_t request_id, FlightPhase phase,
                        double value_sec, FlightReason reason)
 {

@@ -125,6 +125,12 @@ class FlightRecorder
                        double value_sec = 0.0,
                        FlightReason reason = FlightReason::None);
 
+    /** Give the calling thread its ring now (a no-op while disabled)
+     *  so its first record() does not allocate one: a worker calls it
+     *  at start, keeping the ring's allocation and page faults out of
+     *  the first request it serves. */
+    static void attachThread();
+
     /** Records accepted since process start (monotonic; the
      *  zero-overhead test pins this flat while disabled). */
     [[nodiscard]] uint64_t recordCount() const;

@@ -5,6 +5,7 @@
 #include <exception>
 #include <string>
 
+#include "obs/flight_recorder.h"
 #include "obs/tracer.h"
 #include "support/logging.h"
 
@@ -189,6 +190,7 @@ void
 ThreadPool::workerLoop(size_t index)
 {
     obs::setThreadName("pool-" + std::to_string(index));
+    obs::FlightRecorder::attachThread();
     for (;;) {
         std::function<void()> task;
         {

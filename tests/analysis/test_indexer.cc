@@ -9,6 +9,8 @@
  */
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,7 +22,9 @@ namespace {
 FileSummary
 summarize(const std::string &path, const std::string &text)
 {
-    return summarizeFile(SourceFile::fromString(path, text));
+    SourceFile file = SourceFile::fromString(path, text);
+    const std::vector<Token> tokens = lex(file);
+    return summarizeFile(std::move(file), tokens);
 }
 
 const FunctionSummary *

@@ -1,7 +1,7 @@
 /**
  * @file
- * Golden fixtures for the dac-analyze program rules. Each fixture is
- * a small multi-file program fed through Analyzer::analyzeTexts();
+ * Golden fixtures for the dac-lint program rules. Each fixture is
+ * a small multi-file program fed through Checker::checkTexts();
  * the assertions pin not just that a rule fires but where, and that
  * the witness text carries the cross-file path a reader needs to act
  * on the finding without re-running the analysis.
@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/analyzer.h"
+#include "analysis/checker.h"
 
 namespace dac::analysis {
 namespace {
@@ -24,9 +24,9 @@ using Files = std::vector<std::pair<std::string, std::string>>;
 std::vector<Finding>
 analyzeWith(const std::string &rule, const Files &files)
 {
-    Analyzer analyzer;
-    analyzer.enableOnly({rule});
-    return analyzer.analyzeTexts(files).findings;
+    Checker checker;
+    checker.enableOnly({rule});
+    return checker.checkTexts(files).findings;
 }
 
 bool

@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/linter.h"
+#include "analysis/checker.h"
 
 namespace dac::analysis {
 namespace {
@@ -18,8 +18,8 @@ namespace {
 std::vector<Finding>
 lintAt(const std::string &path, const std::string &text)
 {
-    const Linter linter;
-    return linter.lintText(path, text);
+    const Checker checker;
+    return checker.checkTexts({{path, text}}).findings;
 }
 
 std::vector<Finding>

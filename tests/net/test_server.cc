@@ -21,6 +21,7 @@
 #include "net/server.h"
 #include "net/socket.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "service/service.h"
 #include "sparksim/simulator.h"
 
@@ -161,6 +162,52 @@ TEST(TuningServer, PipelinedFramesFormOneBatch)
 
     client.close();
     server.stop();
+}
+
+/**
+ * A batch's replies leave in one send, and that send is every item's
+ * write phase: each request gets its own phase.write observation and
+ * its own write flight record, as it does for serialize.
+ */
+TEST(TuningServer, EveryBatchItemRecordsItsWritePhase)
+{
+    StubBackend backend;
+    obs::MetricsRegistry metrics;
+    ServerOptions options;
+    options.metrics = &metrics;
+    TuningServer server(backend, options);
+    server.start();
+
+    // The client numbers its frames 1..kItems; count only the records
+    // this batch adds.
+    constexpr uint32_t kItems = 5;
+    const auto writeRecords = [] {
+        std::vector<size_t> perId(kItems + 1, 0);
+        for (const obs::FlightRecord &record :
+             obs::FlightRecorder::instance().snapshot(600.0)) {
+            if (record.phase == obs::FlightPhase::Write &&
+                record.requestId >= 1 && record.requestId <= kItems)
+                ++perId[record.requestId];
+        }
+        return perId;
+    };
+    const auto before = writeRecords();
+
+    Client client("127.0.0.1", server.port());
+    std::vector<service::TuneRequest> requests;
+    for (uint32_t i = 0; i < kItems; ++i)
+        requests.push_back(makeRequest("TS", 10.0 + i));
+    ASSERT_EQ(client.requestBatch(requests).size(), kItems);
+    client.close();
+    // The loop records a write after its send returns; stopping joins
+    // the loop, so every record is in by now.
+    server.stop();
+
+    EXPECT_EQ(metrics.histogram("phase.serialize").count(), kItems);
+    EXPECT_EQ(metrics.histogram("phase.write").count(), kItems);
+    const auto after = writeRecords();
+    for (uint32_t id = 1; id <= kItems; ++id)
+        EXPECT_EQ(after[id] - before[id], 1u) << "wire id " << id;
 }
 
 TEST(TuningServer, ConcurrentConnections)

@@ -1,8 +1,11 @@
 /**
  * @file
- * dac-lint: the project-invariant static checker. A thin argv wrapper
- * over src/analysis (see linter.h); all rule logic lives in the
- * library so tests can drive it directly.
+ * dac-lint: the project-invariant static checker. Per-file rules and
+ * whole-program rules (lock-order cycles, blocking calls reachable
+ * from event loops, enum-switch coverage, payload bounds) run in one
+ * pass over the given files. A thin argv wrapper over src/analysis
+ * (see checker.h); all rule logic lives in the library so tests can
+ * drive it directly.
  *
  * Usage:
  *   dac_lint [flags] <file-or-dir>...
@@ -12,7 +15,7 @@
  *   --output=FILE        write the report to FILE instead of stdout
  *   --rule=NAME          run only the named rule (repeatable)
  *   --disable=NAME       drop one rule from the default set (repeatable)
- *   --jobs=N             lint files over N threads (default 1;
+ *   --jobs=N             check files over N threads (default 1;
  *                        0 = one per hardware thread)
  *   --list-rules         print the rule catalog and exit
  *
@@ -26,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/linter.h"
+#include "analysis/checker.h"
 #include "service/thread_pool.h"
 
 #include "flags.h"
@@ -42,7 +45,7 @@ usage()
         << "  --output=FILE       write the report to FILE\n"
         << "  --rule=NAME         run only the named rule (repeatable)\n"
         << "  --disable=NAME      drop one rule (repeatable)\n"
-        << "  --jobs=N            lint over N threads (0 = hardware)\n"
+        << "  --jobs=N            check over N threads (0 = hardware)\n"
         << "  --list-rules        print the rule catalog and exit\n";
     return 2;
 }
@@ -74,26 +77,26 @@ main(int argc, char **argv)
         return usage();
 
     try {
-        analysis::Linter linter;
+        analysis::Checker checker;
         if (listRules) {
-            for (const auto &rule : linter.ruleNames())
-                std::cout << rule << "  " << linter.describe(rule)
+            for (const auto &rule : checker.ruleNames())
+                std::cout << rule << "  " << checker.describe(rule)
                           << "\n";
             return 0;
         }
         if (flags.positionals().empty())
             return usage();
         if (!only.empty())
-            linter.enableOnly(only);
+            checker.enableOnly(only);
         for (const auto &rule : disabled)
-            linter.disable(rule);
+            checker.disable(rule);
 
         std::unique_ptr<service::ThreadPool> pool;
         if (jobs != 1)
             pool = std::make_unique<service::ThreadPool>(jobs);
 
         const analysis::LintReport report =
-            linter.run(flags.positionals(), pool.get());
+            checker.run(flags.positionals(), pool.get());
         std::string rendered;
         if (format == "json")
             rendered = analysis::renderJson(report);

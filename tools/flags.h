@@ -1,23 +1,28 @@
 /**
  * @file
  * Shared `--name=value` flag parsing for the command-line tools
- * (dac_lint, dac_analyze, dac_top). Each tool binds its flags to
- * locals, calls parse(), and prints its own usage on failure — the
- * parser deliberately knows nothing about any specific tool.
+ * (dac_lint, dac_top, dac_request, dac_snap). Each tool binds its
+ * flags to locals, calls parse(), and prints its own usage on
+ * failure — the parser deliberately knows nothing about any specific
+ * tool.
  *
  * Grammar: `--name=VALUE` for value flags, `--name` for switches,
  * everything else is a positional argument. Unknown flags and values
- * a binding rejects (e.g. non-numeric `--jobs=x`) fail the parse.
+ * a binding rejects fail the parse. A numeric value must be a number
+ * and nothing else: `--jobs=4x`, `--jobs= 7`, `--jobs=-1` (a sign on
+ * an unsigned flag) and `--port=65536` (out of range) are rejected,
+ * and a rejected value leaves its target unchanged.
  */
 
 #ifndef DAC_TOOLS_FLAGS_H
 #define DAC_TOOLS_FLAGS_H
 
+#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 namespace dac::tools {
@@ -68,7 +73,7 @@ class FlagParser
     bind(const std::string &name, size_t *target)
     {
         define(name, [target](const std::string &v) {
-            return parseNumber([&] { *target = std::stoul(v); });
+            return parseNumber(v, *target);
         });
     }
 
@@ -77,12 +82,7 @@ class FlagParser
     bind(const std::string &name, uint16_t *target)
     {
         define(name, [target](const std::string &v) {
-            return parseNumber([&] {
-                const unsigned long n = std::stoul(v);
-                if (n > UINT16_MAX)
-                    throw std::out_of_range(v);
-                *target = static_cast<uint16_t>(n);
-            });
+            return parseNumber(v, *target);
         });
     }
 
@@ -91,7 +91,7 @@ class FlagParser
     bind(const std::string &name, double *target)
     {
         define(name, [target](const std::string &v) {
-            return parseNumber([&] { *target = std::stod(v); });
+            return parseNumber(v, *target);
         });
     }
 
@@ -143,16 +143,20 @@ class FlagParser
     }
 
   private:
-    /** Run a std::sto* conversion, mapping its exceptions to false. */
+    /** Store `text` in *target when all of it is one number of type
+     *  T; otherwise return false and leave *target alone. An
+     *  unsigned T takes no sign, and no T takes surrounding space. */
+    template <typename T>
     static bool
-    parseNumber(const std::function<void()> &convert)
+    parseNumber(const std::string &text, T &target)
     {
-        try {
-            convert();
-            return true;
-        } catch (const std::exception &) {
+        T value{};
+        const char *end = text.data() + text.size();
+        const auto [stop, error] = std::from_chars(text.data(), end, value);
+        if (error != std::errc() || stop != end)
             return false;
-        }
+        target = value;
+        return true;
     }
 
     std::map<std::string, std::function<bool(const std::string &)>> values;
