@@ -19,7 +19,7 @@
  *
  *   threads           service worker threads (0 = one per hw thread)
  *   --port=N          serve mode: bind 127.0.0.1:N until SIGINT/SIGTERM
- *   --loops=N         worker event loops (default 2)
+ *   --loops=N         worker event loops (default 2; at least 1)
  *   --prometheus      also print the service metrics in Prometheus
  *                     text exposition format (what a real deployment
  *                     would serve on /metrics)
@@ -65,6 +65,8 @@
 #include "support/table.h"
 #include "support/units.h"
 
+#include "flags.h"
+
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
@@ -109,36 +111,27 @@ main(int argc, char **argv)
     std::string trace_path;
     std::string flight_dir;
     std::string snapshot_dir;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--prometheus") {
-            prometheus = true;
-        } else if (startsWith(arg, "--trace-out=")) {
-            trace_path = arg.substr(std::string("--trace-out=").size());
-        } else if (startsWith(arg, "--flight-dir=")) {
-            flight_dir =
-                arg.substr(std::string("--flight-dir=").size());
-        } else if (startsWith(arg, "--snapshot-dir=")) {
-            snapshot_dir =
-                arg.substr(std::string("--snapshot-dir=").size());
-        } else if (startsWith(arg, "--port=")) {
-            serve = true;
-            port = static_cast<uint16_t>(
-                std::stoul(arg.substr(std::string("--port=").size())));
-        } else if (startsWith(arg, "--loops=")) {
-            loops = std::stoul(arg.substr(std::string("--loops=").size()));
-        } else {
-            try {
-                threads = std::stoul(arg);
-            } catch (const std::exception &) {
-                std::cerr << "usage: tuning_server [threads] [--port=N]"
-                          << " [--loops=N] [--prometheus]"
-                          << " [--trace-out=FILE]"
-                          << " [--flight-dir=DIR]"
-                          << " [--snapshot-dir=DIR]\n";
-                return 1;
-            }
-        }
+    tools::FlagParser flags;
+    flags.define("port", [&serve, &port](const std::string &v) {
+        serve = true;
+        return tools::FlagParser::parseNumber(v, port);
+    });
+    flags.bind("loops", &loops);
+    flags.defineSwitch("prometheus", &prometheus);
+    flags.bind("trace-out", &trace_path);
+    flags.bind("flight-dir", &flight_dir);
+    flags.bind("snapshot-dir", &snapshot_dir);
+    const bool parsed = flags.parse(argc, argv);
+    const std::vector<std::string> &positional = flags.positionals();
+    if (!parsed || loops == 0 || positional.size() > 1 ||
+        (positional.size() == 1 &&
+         !tools::FlagParser::parseNumber(positional[0], threads))) {
+        std::cerr << "usage: tuning_server [threads] [--port=N]"
+                  << " [--loops=N] [--prometheus]"
+                  << " [--trace-out=FILE]"
+                  << " [--flight-dir=DIR]"
+                  << " [--snapshot-dir=DIR]\n";
+        return 1;
     }
     if (threads == 0) // the pool's "one per hardware thread"
         threads = std::thread::hardware_concurrency();

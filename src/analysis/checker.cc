@@ -95,13 +95,13 @@ Checker::check(size_t fileCount,
     std::vector<FileSummary> summaries(fileCount);
     parallelFor(executor, fileCount, [&](size_t i) {
         SourceFile source = load(i);
-        const std::vector<Token> tokens = lex(source);
+        std::vector<Token> tokens = lex(source);
         const FileContext ctx{source, tokens};
         for (const auto &entry : entries) {
             if (entry.enabled)
                 entry.rule->checkFile(ctx, perFile[i]);
         }
-        summaries[i] = summarizeFile(std::move(source), tokens);
+        summaries[i] = summarizeFile(std::move(source), std::move(tokens));
     });
 
     LintReport report;

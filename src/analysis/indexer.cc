@@ -860,7 +860,7 @@ struct Walker
 } // namespace
 
 FileSummary
-summarizeFile(SourceFile file, const std::vector<Token> &tokens)
+summarizeFile(SourceFile file, std::vector<Token> tokens)
 {
     FileSummary summary;
     {
@@ -868,6 +868,7 @@ summarizeFile(SourceFile file, const std::vector<Token> &tokens)
         walker.run();
     }
     summary.source = std::move(file);
+    summary.tokens = std::move(tokens);
     std::sort(summary.functions.begin(), summary.functions.end(),
               [](const FunctionSummary &a, const FunctionSummary &b) {
                   return a.line < b.line;

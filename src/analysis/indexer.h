@@ -26,9 +26,10 @@
 
 namespace dac::analysis {
 
-/** Summarize one scanned file from its tokens (lex(file)). */
+/** Summarize one scanned file from its tokens (lex(file)); the
+ *  summary keeps both. */
 [[nodiscard]] FileSummary summarizeFile(SourceFile file,
-                                        const std::vector<Token> &tokens);
+                                        std::vector<Token> tokens);
 
 } // namespace dac::analysis
 

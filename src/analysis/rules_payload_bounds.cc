@@ -42,8 +42,8 @@ isRelational(const std::string &text)
 
 /**
  * dac-payload-bounds: raw wire-payload bytes must never be indexed
- * without an in-function bounds guard. The checked path is
- * PayloadReader (protocol.h), whose accessors call need() before
+ * without an in-function bounds guard. The checked path is the shared
+ * ByteReader (support/bytes.h), whose accessors call need() before
  * every read; code that takes a `const uint8_t *` directly must show
  * a need()/DAC_ASSERT/length-comparison before the first subscript.
  * Payload-size literals (1 MiB in any spelling) must come from the
@@ -81,7 +81,7 @@ class PayloadBoundsRule final : public Rule
     void
     checkNetFile(const FileSummary &file, std::vector<Finding> &out) const
     {
-        const std::vector<Token> toks = lex(file.source);
+        const std::vector<Token> &toks = file.tokens;
 
         // Attribute a line to the innermost containing function.
         const auto functionAt =
@@ -165,8 +165,9 @@ class PayloadBoundsRule final : public Rule
                             "unchecked access to wire-payload buffer "
                             "'" + t.text + "' in " + fn->qualified +
                                 "; guard with a length check "
-                                "(need()/DAC_ASSERT) first or use the "
-                                "checked PayloadReader API"});
+                                "(need()/DAC_ASSERT) first or read "
+                                "through the checked ByteReader "
+                                "(support/bytes.h)"});
                     }
                 }
             }

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/lexer.h"
 #include "analysis/source.h"
 
 namespace dac::analysis {
@@ -153,6 +154,9 @@ struct FileSummary
 {
     /** The scanned source (kept for suppression filtering). */
     SourceFile source;
+    /** The file's tokens (lex(source)), kept so program rules that
+     *  walk the token stream do not lex the file again. */
+    std::vector<Token> tokens;
     std::vector<FunctionSummary> functions;
     std::vector<EnumDef> enums;
     std::vector<SwitchSite> switches;

@@ -1,44 +1,9 @@
 #include "net/frame.h"
 
+#include "support/bytes.h"
 #include "support/logging.h"
 
 namespace dac::net {
-
-namespace {
-
-/** Little-endian store, independent of host endianness. */
-void
-putU32(std::vector<uint8_t> &out, uint32_t v)
-{
-    out.push_back(static_cast<uint8_t>(v & 0xffu));
-    out.push_back(static_cast<uint8_t>((v >> 8) & 0xffu));
-    out.push_back(static_cast<uint8_t>((v >> 16) & 0xffu));
-    out.push_back(static_cast<uint8_t>((v >> 24) & 0xffu));
-}
-
-uint32_t
-loadU32(const uint8_t *p)
-{
-    // Every caller sits behind FrameDecoder's header length check
-    // (>= kHeaderBytes buffered), so the bytes are readable here.
-    // NOLINTNEXTLINE(dac-payload-bounds): bounds proven by the caller
-    return static_cast<uint32_t>(p[0]) |
-           (static_cast<uint32_t>(p[1]) << 8) |
-           (static_cast<uint32_t>(p[2]) << 16) |
-           (static_cast<uint32_t>(p[3]) << 24);
-}
-
-uint16_t
-loadU16(const uint8_t *p)
-{
-    // Same contract as loadU32: the decoder has already verified the
-    // bytes are in the buffer.
-    // NOLINTNEXTLINE(dac-payload-bounds): bounds proven by the caller
-    return static_cast<uint16_t>(static_cast<uint16_t>(p[0]) |
-                                 (static_cast<uint16_t>(p[1]) << 8));
-}
-
-} // namespace
 
 bool
 isKnownMsgType(uint8_t value)
@@ -70,14 +35,15 @@ appendFrame(std::vector<uint8_t> &out, MsgType type, uint32_t request_id,
                    version <= kProtocolVersion,
                "frame version outside the speakable range");
     out.reserve(out.size() + kFrameHeaderBytes + payload_len);
-    putU32(out, kFrameMagic);
-    out.push_back(version);
-    out.push_back(static_cast<uint8_t>(type));
+    ByteWriter header(std::move(out));
+    header.u32(kFrameMagic);
+    header.u8(version);
+    header.u8(static_cast<uint8_t>(type));
     // Reserved flags, zero until a later protocol version needs them.
-    out.push_back(0);
-    out.push_back(0);
-    putU32(out, request_id);
-    putU32(out, static_cast<uint32_t>(payload_len));
+    header.u16(0);
+    header.u32(request_id);
+    header.u32(static_cast<uint32_t>(payload_len));
+    out = header.take();
     out.insert(out.end(), payload, payload + payload_len);
 }
 
@@ -121,14 +87,16 @@ FrameDecoder::next(Frame *out)
     if (available < kFrameHeaderBytes)
         return Result::NeedMore;
 
-    const uint8_t *header = buffer.data() + offset;
-    const uint32_t magic = loadU32(header);
-    if (magic != kFrameMagic) {
+    // The header is all buffered (checked above), so these reads
+    // cannot overrun.
+    const uint8_t *frame = buffer.data() + offset;
+    ByteReader<ProtocolError> header(frame, kFrameHeaderBytes);
+    if (header.u32() != kFrameMagic) {
         malformed = true;
         errorText = "bad frame magic";
         return Result::Malformed;
     }
-    const uint8_t version = header[4];
+    const uint8_t version = header.u8();
     if (version < kMinProtocolVersion || version > kProtocolVersion) {
         malformed = true;
         errorText =
@@ -139,14 +107,14 @@ FrameDecoder::next(Frame *out)
     // bounds the frame, so framing stays aligned. The frame is passed
     // through for the dispatch layer to answer with Error while the
     // connection lives on (forward compatibility with newer peers).
-    const uint8_t type = header[5];
-    if (loadU16(header + 6) != 0) {
+    const uint8_t type = header.u8();
+    if (header.u16() != 0) {
         malformed = true;
         errorText = "nonzero reserved flags";
         return Result::Malformed;
     }
-    const uint32_t request_id = loadU32(header + 8);
-    const uint32_t payload_len = loadU32(header + 12);
+    const uint32_t request_id = header.u32();
+    const uint32_t payload_len = header.u32();
     if (payload_len > maxPayload) {
         malformed = true;
         errorText = "oversized payload (" + std::to_string(payload_len) +
@@ -159,7 +127,7 @@ FrameDecoder::next(Frame *out)
     out->type = static_cast<MsgType>(type);
     out->requestId = request_id;
     out->version = version;
-    const uint8_t *body = header + kFrameHeaderBytes;
+    const uint8_t *body = frame + kFrameHeaderBytes;
     out->payload.assign(body, body + payload_len);
     offset += kFrameHeaderBytes + payload_len;
     return Result::Frame;

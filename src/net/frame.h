@@ -6,7 +6,9 @@
  * arbitrarily split reads.
  *
  * Framing and payload encoding are separate layers: this file moves
- * opaque payload bytes; protocol.h gives them meaning. The decoder is
+ * opaque payload bytes; protocol.h gives them meaning. Both layers
+ * write and read through the one byte codec (support/bytes.h); a wire
+ * reader throws ProtocolError, declared here. The decoder is
  * deliberately paranoid — a stream is untrusted input — and classifies
  * every defect (bad magic, unknown version, oversized length) as
  * Malformed so the server can drop the connection instead of guessing
@@ -28,10 +30,22 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace dac::net {
+
+/** A payload that violates the protocol (truncated, trailing bytes,
+ *  or inconsistent with the receiver's config space): what a wire
+ *  ByteReader (support/bytes.h) throws on overrun. */
+struct ProtocolError : std::runtime_error
+{
+    explicit ProtocolError(const std::string &what)
+        : std::runtime_error(what)
+    {
+    }
+};
 
 /** Frame type tag (one byte on the wire). */
 enum class MsgType : uint8_t {

@@ -1,122 +1,33 @@
 #include "net/protocol.h"
 
-#include <bit>
+#include "support/bytes.h"
 
 namespace dac::net {
 
-void
-PayloadWriter::putU8(uint8_t v)
+namespace {
+
+/** A reader over one wire payload. Overruns throw ProtocolError, and a
+ *  string may be as long as a frame: the codec's 64-KiB default would
+ *  reject a large Stats or FlightDump reply. */
+ByteReader<ProtocolError>
+wireReader(const std::vector<uint8_t> &payload)
 {
-    data.push_back(v);
+    return {payload.data(), payload.size(), kMaxPayloadBytes};
 }
 
-void
-PayloadWriter::putU32(uint32_t v)
-{
-    data.push_back(static_cast<uint8_t>(v & 0xffu));
-    data.push_back(static_cast<uint8_t>((v >> 8) & 0xffu));
-    data.push_back(static_cast<uint8_t>((v >> 16) & 0xffu));
-    data.push_back(static_cast<uint8_t>((v >> 24) & 0xffu));
-}
-
-void
-PayloadWriter::putU64(uint64_t v)
-{
-    putU32(static_cast<uint32_t>(v & 0xffffffffu));
-    putU32(static_cast<uint32_t>(v >> 32));
-}
-
-void
-PayloadWriter::putF64(double v)
-{
-    putU64(std::bit_cast<uint64_t>(v));
-}
-
-void
-PayloadWriter::putString(const std::string &s)
-{
-    putU32(static_cast<uint32_t>(s.size()));
-    data.insert(data.end(), s.begin(), s.end());
-}
-
-PayloadReader::PayloadReader(const uint8_t *data, size_t len)
-    : data(data), len(len)
-{
-}
-
-PayloadReader::PayloadReader(const std::vector<uint8_t> &payload)
-    : data(payload.data()), len(payload.size())
-{
-}
-
-void
-PayloadReader::need(size_t n) const
-{
-    if (len - at < n)
-        throw ProtocolError("truncated payload");
-}
-
-uint8_t
-PayloadReader::getU8()
-{
-    need(1);
-    return data[at++];
-}
-
-uint32_t
-PayloadReader::getU32()
-{
-    need(4);
-    const uint32_t v = static_cast<uint32_t>(data[at]) |
-                       (static_cast<uint32_t>(data[at + 1]) << 8) |
-                       (static_cast<uint32_t>(data[at + 2]) << 16) |
-                       (static_cast<uint32_t>(data[at + 3]) << 24);
-    at += 4;
-    return v;
-}
-
-uint64_t
-PayloadReader::getU64()
-{
-    const uint64_t lo = getU32();
-    const uint64_t hi = getU32();
-    return lo | (hi << 32);
-}
-
-double
-PayloadReader::getF64()
-{
-    return std::bit_cast<double>(getU64());
-}
-
-std::string
-PayloadReader::getString()
-{
-    const uint32_t n = getU32();
-    need(n);
-    std::string s(reinterpret_cast<const char *>(data + at), n);
-    at += n;
-    return s;
-}
-
-void
-PayloadReader::expectEnd() const
-{
-    if (at != len)
-        throw ProtocolError("trailing bytes after payload");
-}
+} // namespace
 
 std::vector<uint8_t>
 encodeTuneRequest(const service::TuneRequest &request, uint8_t version)
 {
-    PayloadWriter w;
-    w.putString(request.workload);
-    w.putF64(request.nativeSize);
-    w.putU64(request.seed);
-    w.putF64(request.deadlineSec);
+    ByteWriter w;
+    w.str(request.workload);
+    w.f64(request.nativeSize);
+    w.u64(request.seed);
+    w.f64(request.deadlineSec);
     if (version >= 2) {
-        w.putU64(request.traceId);
-        w.putU8(request.sampled ? kRequestFlagSampled : 0);
+        w.u64(request.traceId);
+        w.u8(request.sampled ? kRequestFlagSampled : 0);
     }
     return w.take();
 }
@@ -124,15 +35,15 @@ encodeTuneRequest(const service::TuneRequest &request, uint8_t version)
 service::TuneRequest
 decodeTuneRequest(const std::vector<uint8_t> &payload, uint8_t version)
 {
-    PayloadReader r(payload);
+    auto r = wireReader(payload);
     service::TuneRequest request;
-    request.workload = r.getString();
-    request.nativeSize = r.getF64();
-    request.seed = r.getU64();
-    request.deadlineSec = r.getF64();
+    request.workload = r.str();
+    request.nativeSize = r.f64();
+    request.seed = r.u64();
+    request.deadlineSec = r.f64();
     if (version >= 2) {
-        request.traceId = r.getU64();
-        const uint8_t flags = r.getU8();
+        request.traceId = r.u64();
+        const uint8_t flags = r.u8();
         if ((flags & ~kRequestFlagSampled) != 0)
             throw ProtocolError("unknown tune-request flags");
         request.sampled = (flags & kRequestFlagSampled) != 0;
@@ -144,31 +55,31 @@ decodeTuneRequest(const std::vector<uint8_t> &payload, uint8_t version)
 std::vector<uint8_t>
 encodeTuneResponse(const service::TuneResponse &response, uint8_t version)
 {
-    PayloadWriter w;
-    w.putString(response.workload);
-    w.putF64(response.nativeSize);
+    ByteWriter w;
+    w.str(response.workload);
+    w.f64(response.nativeSize);
     const auto &values = response.best.values();
-    w.putU32(static_cast<uint32_t>(values.size()));
+    w.u32(static_cast<uint32_t>(values.size()));
     for (const double v : values)
-        w.putF64(v);
-    w.putF64(response.predictedTimeSec);
-    w.putF64(response.modelErrorPct);
-    w.putBool(response.modelCacheHit);
-    w.putBool(response.coalesced);
-    w.putF64(response.latencySec);
-    w.putBool(response.degraded);
-    w.putString(response.degradedReason);
-    w.putU32(static_cast<uint32_t>(response.buildRetries));
-    w.putU32(static_cast<uint32_t>(response.warnings.size()));
+        w.f64(v);
+    w.f64(response.predictedTimeSec);
+    w.f64(response.modelErrorPct);
+    w.u8(response.modelCacheHit ? 1 : 0);
+    w.u8(response.coalesced ? 1 : 0);
+    w.f64(response.latencySec);
+    w.u8(response.degraded ? 1 : 0);
+    w.str(response.degradedReason);
+    w.u32(static_cast<uint32_t>(response.buildRetries));
+    w.u32(static_cast<uint32_t>(response.warnings.size()));
     for (const auto &warning : response.warnings) {
-        w.putString(warning.constraint);
-        w.putString(warning.message);
+        w.str(warning.constraint);
+        w.str(warning.message);
     }
     if (version >= 2) {
-        w.putU8(static_cast<uint8_t>(response.phases.size()));
+        w.u8(static_cast<uint8_t>(response.phases.size()));
         for (const auto &timing : response.phases) {
-            w.putU8(static_cast<uint8_t>(timing.phase));
-            w.putF64(timing.sec);
+            w.u8(static_cast<uint8_t>(timing.phase));
+            w.f64(timing.sec);
         }
     }
     return w.take();
@@ -178,11 +89,11 @@ service::TuneResponse
 decodeTuneResponse(const std::vector<uint8_t> &payload,
                    const conf::ConfigSpace &space, uint8_t version)
 {
-    PayloadReader r(payload);
+    auto r = wireReader(payload);
     service::TuneResponse response;
-    response.workload = r.getString();
-    response.nativeSize = r.getF64();
-    const uint32_t count = r.getU32();
+    response.workload = r.str();
+    response.nativeSize = r.f64();
+    const uint32_t count = r.u32();
     if (count != space.size())
         throw ProtocolError(
             "config space mismatch: " + std::to_string(count) +
@@ -191,35 +102,36 @@ decodeTuneResponse(const std::vector<uint8_t> &payload,
     std::vector<double> values;
     values.reserve(count);
     for (uint32_t i = 0; i < count; ++i)
-        values.push_back(r.getF64());
+        values.push_back(r.f64());
     response.best = conf::Configuration(space, std::move(values));
-    response.predictedTimeSec = r.getF64();
-    response.modelErrorPct = r.getF64();
-    response.modelCacheHit = r.getBool();
-    response.coalesced = r.getBool();
-    response.latencySec = r.getF64();
-    response.degraded = r.getBool();
-    response.degradedReason = r.getString();
-    response.buildRetries = static_cast<int>(r.getU32());
-    const uint32_t warnings = r.getU32();
+    response.predictedTimeSec = r.f64();
+    response.modelErrorPct = r.f64();
+    response.modelCacheHit = r.u8() != 0;
+    response.coalesced = r.u8() != 0;
+    response.latencySec = r.f64();
+    response.degraded = r.u8() != 0;
+    response.degradedReason = r.str();
+    response.buildRetries = static_cast<int>(r.u32());
+    // Two strings, each at least its u32 length prefix.
+    const uint32_t warnings = r.count(8, "warning");
     response.warnings.reserve(warnings);
     for (uint32_t i = 0; i < warnings; ++i) {
         conf::ConstraintViolation v;
-        v.constraint = r.getString();
-        v.message = r.getString();
+        v.constraint = r.str();
+        v.message = r.str();
         response.warnings.push_back(std::move(v));
     }
     if (version >= 2) {
-        const uint8_t phases = r.getU8();
+        const uint8_t phases = r.u8();
         response.phases.reserve(phases);
         for (uint8_t i = 0; i < phases; ++i) {
             service::PhaseTiming timing;
-            const uint8_t raw = r.getU8();
+            const uint8_t raw = r.u8();
             if (raw >= service::kPhaseCount)
                 throw ProtocolError("unknown phase id " +
                                     std::to_string(raw));
             timing.phase = static_cast<service::Phase>(raw);
-            timing.sec = r.getF64();
+            timing.sec = r.f64();
             response.phases.push_back(timing);
         }
     }
@@ -239,26 +151,25 @@ patchSerializePhaseSec(std::vector<uint8_t> &payload, double sec)
             static_cast<uint8_t>(service::Phase::Serialize))
         throw ProtocolError(
             "payload has no trailing serialize phase to patch");
-    const uint64_t bits = std::bit_cast<uint64_t>(sec);
-    for (size_t i = 0; i < 8; ++i) {
-        payload[payload.size() - 8 + i] =
-            static_cast<uint8_t>((bits >> (8 * i)) & 0xffu);
-    }
+    payload.resize(payload.size() - 8);
+    ByteWriter w(std::move(payload));
+    w.f64(sec);
+    payload = w.take();
 }
 
 std::vector<uint8_t>
 encodeError(const std::string &message)
 {
-    PayloadWriter w;
-    w.putString(message);
+    ByteWriter w;
+    w.str(message);
     return w.take();
 }
 
 std::string
 decodeError(const std::vector<uint8_t> &payload)
 {
-    PayloadReader r(payload);
-    std::string message = r.getString();
+    auto r = wireReader(payload);
+    std::string message = r.str();
     r.expectEnd();
     return message;
 }
@@ -266,17 +177,17 @@ decodeError(const std::vector<uint8_t> &payload)
 std::vector<uint8_t>
 encodeStatsRequest(const StatsRequest &request)
 {
-    PayloadWriter w;
-    w.putU8(static_cast<uint8_t>(request.format));
+    ByteWriter w;
+    w.u8(static_cast<uint8_t>(request.format));
     return w.take();
 }
 
 StatsRequest
 decodeStatsRequest(const std::vector<uint8_t> &payload)
 {
-    PayloadReader r(payload);
+    auto r = wireReader(payload);
     StatsRequest request;
-    const uint8_t format = r.getU8();
+    const uint8_t format = r.u8();
     if (format > static_cast<uint8_t>(StatsFormat::Prometheus))
         throw ProtocolError("unknown stats format " +
                             std::to_string(format));
@@ -288,17 +199,17 @@ decodeStatsRequest(const std::vector<uint8_t> &payload)
 std::vector<uint8_t>
 encodeFlightDumpRequest(const FlightDumpRequest &request)
 {
-    PayloadWriter w;
-    w.putF64(request.windowSec);
+    ByteWriter w;
+    w.f64(request.windowSec);
     return w.take();
 }
 
 FlightDumpRequest
 decodeFlightDumpRequest(const std::vector<uint8_t> &payload)
 {
-    PayloadReader r(payload);
+    auto r = wireReader(payload);
     FlightDumpRequest request;
-    request.windowSec = r.getF64();
+    request.windowSec = r.f64();
     if (!(request.windowSec >= 0.0))
         throw ProtocolError("negative flight-dump window");
     r.expectEnd();
@@ -308,17 +219,17 @@ decodeFlightDumpRequest(const std::vector<uint8_t> &payload)
 std::vector<uint8_t>
 encodeSnapshotRequest(const SnapshotRequest &request)
 {
-    PayloadWriter w;
-    w.putU8(static_cast<uint8_t>(request.op));
+    ByteWriter w;
+    w.u8(static_cast<uint8_t>(request.op));
     return w.take();
 }
 
 SnapshotRequest
 decodeSnapshotRequest(const std::vector<uint8_t> &payload)
 {
-    PayloadReader r(payload);
+    auto r = wireReader(payload);
     SnapshotRequest request;
-    const uint8_t op = r.getU8();
+    const uint8_t op = r.u8();
     if (op > static_cast<uint8_t>(SnapshotOp::Persist))
         throw ProtocolError("unknown snapshot op " + std::to_string(op));
     request.op = static_cast<SnapshotOp>(op);
@@ -329,16 +240,16 @@ decodeSnapshotRequest(const std::vector<uint8_t> &payload)
 std::vector<uint8_t>
 encodeTextReply(const std::string &text)
 {
-    PayloadWriter w;
-    w.putString(text);
+    ByteWriter w;
+    w.str(text);
     return w.take();
 }
 
 std::string
 decodeTextReply(const std::vector<uint8_t> &payload)
 {
-    PayloadReader r(payload);
-    std::string text = r.getString();
+    auto r = wireReader(payload);
+    std::string text = r.str();
     r.expectEnd();
     return text;
 }

@@ -4,20 +4,21 @@
  * TuneResponse serialize into the opaque bytes a frame (frame.h)
  * carries.
  *
- * Everything is little-endian; doubles travel as their IEEE-754 bit
- * pattern, so a configuration decoded from the wire is bit-identical
- * to the one the service produced — the property the byte-identity
- * tests pin. Strings are u32-length-prefixed UTF-8. Decoders are
- * bounds-checked and throw ProtocolError on truncated or trailing
- * bytes; the server answers such payloads with an Error frame rather
- * than dying.
+ * The bytes follow the one codec's rules (support/bytes.h):
+ * little-endian integers, doubles as their IEEE-754 bit pattern — so a
+ * configuration decoded from the wire is bit-identical to the one the
+ * service produced, the property the byte-identity tests and the wire
+ * golden pin — and u32-length-prefixed UTF-8 strings, capped by the
+ * frame ceiling. Decoders read through a bounds-checked ByteReader and
+ * throw ProtocolError (frame.h) on truncated or trailing bytes or an
+ * impossible count; the server answers such payloads with an Error
+ * frame rather than dying.
  */
 
 #ifndef DAC_NET_PROTOCOL_H
 #define DAC_NET_PROTOCOL_H
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,71 +27,6 @@
 #include "service/request.h"
 
 namespace dac::net {
-
-/** A payload that violates the protocol (truncated, trailing bytes,
- *  or inconsistent with the receiver's config space). */
-struct ProtocolError : std::runtime_error
-{
-    explicit ProtocolError(const std::string &what)
-        : std::runtime_error(what)
-    {
-    }
-};
-
-/**
- * Append-only little-endian payload builder.
- */
-class PayloadWriter
-{
-  public:
-    void putU8(uint8_t v);
-    void putU32(uint32_t v);
-    void putU64(uint64_t v);
-    /** IEEE-754 bit pattern as u64. */
-    void putF64(double v);
-    void putBool(bool v) { putU8(v ? 1 : 0); }
-    /** u32 length prefix + raw bytes. */
-    void putString(const std::string &s);
-
-    [[nodiscard]] const std::vector<uint8_t> &bytes() const
-    {
-        return data;
-    }
-    [[nodiscard]] std::vector<uint8_t> take() { return std::move(data); }
-
-  private:
-    std::vector<uint8_t> data;
-};
-
-/**
- * Bounds-checked little-endian payload reader; every getter throws
- * ProtocolError past the end.
- */
-class PayloadReader
-{
-  public:
-    PayloadReader(const uint8_t *data, size_t len);
-    explicit PayloadReader(const std::vector<uint8_t> &payload);
-
-    [[nodiscard]] uint8_t getU8();
-    [[nodiscard]] uint32_t getU32();
-    [[nodiscard]] uint64_t getU64();
-    [[nodiscard]] double getF64();
-    [[nodiscard]] bool getBool() { return getU8() != 0; }
-    [[nodiscard]] std::string getString();
-
-    /** Bytes not yet consumed. */
-    [[nodiscard]] size_t remaining() const { return len - at; }
-    /** Throws unless the payload was consumed exactly. */
-    void expectEnd() const;
-
-  private:
-    void need(size_t n) const;
-
-    const uint8_t *data;
-    size_t len;
-    size_t at = 0;
-};
 
 /** TuneRequest v2 flags byte: bit 0 = the sampling decision; all
  *  other bits must be zero (reserved). */

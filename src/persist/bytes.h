@@ -1,35 +1,22 @@
 /**
  * @file
- * Bounds-checked little-endian byte stream primitives for the
- * snapshot payload.
+ * The snapshot format's errors and its binding of the shared byte
+ * codec (support/bytes.h, which holds the encoding rules).
  *
- * Everything the snapshot format stores flows through these two
- * classes, so the encoding rules live in exactly one place:
- *
- *  - integers are fixed-width little-endian;
- *  - doubles are their IEEE-754 bit patterns (bit_cast through
- *    uint64_t), so a value round-trips EXACTLY — the whole persistence
- *    invariant ("reloaded models predict bit-identically") rests on
- *    this;
- *  - strings and arrays are a u32 count followed by the elements.
- *
- * ByteReader never reads past the end: every getter checks remaining()
- * first and throws DecodeError on overrun. By the time a reader runs,
- * the payload has already passed its CRC, so an overrun means a bug or
- * a deliberately hostile file — either way the loader surfaces a typed
- * error instead of touching out-of-bounds memory (the corruption
- * battery runs this under ASan to hold that line).
+ * By the time a snapshot payload is read, it has already passed its
+ * CRC, so an overrun means a bug or a deliberately hostile file —
+ * either way the loader surfaces a typed error instead of touching
+ * out-of-bounds memory: ByteReader here throws DecodeError, which
+ * decodeSnapshot reports as SnapshotError::Corrupt.
  */
 
 #ifndef DAC_PERSIST_BYTES_H
 #define DAC_PERSIST_BYTES_H
 
-#include <bit>
-#include <cstddef>
-#include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
+
+#include "support/bytes.h"
 
 namespace dac::persist {
 
@@ -69,6 +56,12 @@ const char *snapshotErrorName(SnapshotError error);
 class DecodeError : public std::runtime_error
 {
   public:
+    /** A payload that violates the format's structure: Corrupt. This
+     *  is what ByteReader throws on an overrun. */
+    explicit DecodeError(const std::string &message)
+        : DecodeError(SnapshotError::Corrupt, message)
+    {}
+
     DecodeError(SnapshotError code, const std::string &message)
         : std::runtime_error(message), _code(code)
     {}
@@ -79,169 +72,8 @@ class DecodeError : public std::runtime_error
     SnapshotError _code;
 };
 
-/** Append-only little-endian encoder. */
-class ByteWriter
-{
-  public:
-    void
-    u8(uint8_t v)
-    {
-        buf.push_back(v);
-    }
-
-    void
-    u16(uint16_t v)
-    {
-        buf.push_back(static_cast<uint8_t>(v));
-        buf.push_back(static_cast<uint8_t>(v >> 8));
-    }
-
-    void
-    u32(uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            buf.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            buf.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    i32(int32_t v)
-    {
-        u32(static_cast<uint32_t>(v));
-    }
-
-    void
-    f64(double v)
-    {
-        u64(std::bit_cast<uint64_t>(v));
-    }
-
-    // Out of line (bytes.cc): keeps the bulk-insert out of callers'
-    // inlining scope, where GCC 12 trips false -Wstringop warnings.
-    void str(const std::string &s);
-
-    size_t size() const { return buf.size(); }
-    const std::vector<uint8_t> &bytes() const { return buf; }
-    std::vector<uint8_t> take() { return std::move(buf); }
-
-  private:
-    std::vector<uint8_t> buf;
-};
-
-/** Bounds-checked little-endian decoder over a borrowed buffer. */
-class ByteReader
-{
-  public:
-    ByteReader(const uint8_t *data, size_t len) : p(data), end(data + len) {}
-
-    size_t remaining() const { return static_cast<size_t>(end - p); }
-
-    uint8_t
-    u8()
-    {
-        need(1, "u8");
-        return *p++;
-    }
-
-    uint16_t
-    u16()
-    {
-        need(2, "u16");
-        uint16_t v = static_cast<uint16_t>(p[0] | (p[1] << 8));
-        p += 2;
-        return v;
-    }
-
-    uint32_t
-    u32()
-    {
-        need(4, "u32");
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<uint32_t>(p[i]) << (8 * i);
-        p += 4;
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        need(8, "u64");
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(p[i]) << (8 * i);
-        p += 8;
-        return v;
-    }
-
-    int32_t
-    i32()
-    {
-        return static_cast<int32_t>(u32());
-    }
-
-    double
-    f64()
-    {
-        return std::bit_cast<double>(u64());
-    }
-
-    std::string
-    str(size_t max_len = kMaxString)
-    {
-        uint32_t n = u32();
-        if (n > max_len)
-            throw DecodeError(SnapshotError::Corrupt,
-                              "string length " + std::to_string(n) +
-                                  " exceeds limit");
-        need(n, "string body");
-        std::string s(reinterpret_cast<const char *>(p), n);
-        p += n;
-        return s;
-    }
-
-    /**
-     * Array-count prefix, capped so a corrupt count cannot drive a
-     * multi-gigabyte allocation before the element reads run dry.
-     * `elem_bytes` is the minimum encoded size of one element; a count
-     * that could not possibly fit in the remaining bytes is rejected
-     * up front.
-     */
-    uint32_t
-    count(size_t elem_bytes, const char *what)
-    {
-        uint32_t n = u32();
-        if (elem_bytes > 0 && static_cast<uint64_t>(n) * elem_bytes >
-                                  remaining()) {
-            throw DecodeError(SnapshotError::Corrupt,
-                              std::string(what) + " count " +
-                                  std::to_string(n) +
-                                  " overruns the payload");
-        }
-        return n;
-    }
-
-  private:
-    static constexpr size_t kMaxString = 1 << 16;
-
-    void
-    need(size_t n, const char *what)
-    {
-        if (remaining() < n)
-            throw DecodeError(SnapshotError::Corrupt,
-                              std::string("payload overrun reading ") +
-                                  what);
-    }
-
-    const uint8_t *p;
-    const uint8_t *end;
-};
+/** Snapshot payload reader: every overrun is a Corrupt DecodeError. */
+using ByteReader = dac::ByteReader<DecodeError>;
 
 } // namespace dac::persist
 

@@ -30,7 +30,7 @@ constexpr int32_t kMaxFeatureIndex = 1 << 20;
 [[noreturn]] void
 corrupt(const std::string &what)
 {
-    throw DecodeError(SnapshotError::Corrupt, what);
+    throw DecodeError(what);
 }
 
 void

@@ -6,7 +6,7 @@
  * state: RegressionTree nodes, GradientBoost trees and baselines,
  * HierarchicalModel members, the LogTarget wrapper, the scalers, and
  * every FlatEnsemble SoA array including the depth-sorted blocked
- * layout. Width and byte order come from persist/bytes.h; this file
+ * layout. Width and byte order come from support/bytes.h; this file
  * owns field ORDER and the structural validation run on load.
  *
  * Two invariants the encoders/decoders must keep:

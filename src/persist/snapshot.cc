@@ -46,8 +46,7 @@ encodePayload(const SnapshotView &view)
     w.u32(configLen);
     for (const auto &v : vectors) {
         if (v.config.size() != configLen) {
-            throw DecodeError(SnapshotError::Corrupt,
-                              "training vectors disagree on config width");
+            throw DecodeError("training vectors disagree on config width");
         }
         w.f64(v.timeSec);
         for (double c : v.config)
@@ -78,8 +77,7 @@ decodePayload(ByteReader &r)
     const uint32_t vectorCount = r.count(16, "training vector");
     const uint32_t configLen = r.u32();
     if (configLen > (1u << 16))
-        throw DecodeError(SnapshotError::Corrupt,
-                          "training vector config width too large");
+        throw DecodeError("training vector config width too large");
     snap.vectors.reserve(vectorCount);
     for (uint32_t i = 0; i < vectorCount; ++i) {
         core::PerfVector v;
@@ -94,9 +92,7 @@ decodePayload(ByteReader &r)
     snap.model = ModelIo::readModel(r);
     if (r.u8() != 0)
         snap.compiled = ModelIo::readFlat(r);
-    if (r.remaining() != 0)
-        throw DecodeError(SnapshotError::Corrupt,
-                          "trailing bytes after payload");
+    r.expectEnd();
     return snap;
 }
 

@@ -16,7 +16,7 @@
  *           16     4  CRC32C of the payload
  *           20     8  reserved (must be zero)
  *           28     4  CRC32C of header bytes [0, 28)
- *           32     -  payload (persist/bytes.h encoding)
+ *           32     -  payload (support/bytes.h encoding)
  *
  * Validation runs outside-in, each stage reporting its own
  * SnapshotError: size/magic/header-CRC first (is this even one of our

@@ -20,6 +20,9 @@ namespace dac::service {
 
 namespace {
 
+/** Model-build retry backoff growth per attempt (exponential). */
+constexpr double kRetryBackoffMultiplier = 2.0;
+
 /** A model-build failure worth retrying (today: injected faults). */
 struct TransientModelError : std::runtime_error
 {
@@ -476,7 +479,7 @@ TuningService::buildModelWithRetry(const workloads::Workload &workload,
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(sleep_sec));
         }
-        backoff *= options.retryBackoffMultiplier;
+        backoff *= kRetryBackoffMultiplier;
     }
 }
 

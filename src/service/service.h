@@ -70,10 +70,8 @@ struct ServiceOptions
     /** Transient model-build failures retried (with backoff) before
      *  the request degrades to the expert configuration. */
     int modelBuildMaxRetries = 2;
-    /** First retry backoff, seconds. */
+    /** First retry backoff, seconds; it doubles per retry. */
     double retryBackoffInitialSec = 0.05;
-    /** Backoff growth per retry (exponential). */
-    double retryBackoffMultiplier = 2.0;
     /** Backoff ceiling, seconds; also clipped to any deadline left. */
     double retryBackoffMaxSec = 1.0;
 

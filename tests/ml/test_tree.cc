@@ -251,7 +251,7 @@ TEST(Tree, SplitDecisionsMatchParentDigest)
         RegressionTree tree(tp);
         builder.build(tree, DataView(data));
         splits += tree.splitCount();
-        persist::ByteWriter w;
+        ByteWriter w;
         persist::ModelIo::writeModel(w, tree);
         digest = foldBytes(digest, w.bytes().data(), w.size());
 

@@ -13,6 +13,7 @@
 
 #include "net/frame.h"
 #include "net/protocol.h"
+#include "support/bytes.h"
 
 namespace dac::net {
 namespace {
@@ -480,15 +481,31 @@ TEST(Protocol, ResponseValueCountMustMatchSpace)
 
 TEST(Protocol, ReaderBoundsChecks)
 {
-    PayloadWriter writer;
-    writer.putU32(7);
+    ByteWriter writer;
+    writer.u32(7);
     const auto bytes = writer.take();
-    PayloadReader reader(bytes);
-    EXPECT_EQ(reader.getU32(), 7u);
-    EXPECT_THROW((void)reader.getU8(), ProtocolError);
+    ByteReader<ProtocolError> reader(bytes.data(), bytes.size());
+    EXPECT_EQ(reader.u32(), 7u);
+    EXPECT_THROW((void)reader.u8(), ProtocolError);
 
-    PayloadReader fresh(bytes);
+    ByteReader<ProtocolError> fresh(bytes.data(), bytes.size());
     EXPECT_THROW(fresh.expectEnd(), ProtocolError);
+}
+
+TEST(Protocol, ImpossibleWarningCountIsProtocolError)
+{
+    const auto &space = conf::ConfigSpace::spark();
+    service::TuneResponse response;
+    response.workload = "TS";
+    response.best = conf::Configuration(space);
+    // A v1 response without warnings ends with its u32 warning count.
+    auto payload = encodeTuneResponse(response, 1);
+    for (size_t i = payload.size() - 4; i < payload.size(); ++i)
+        payload[i] = 0xff;
+    // 2^32 - 1 warnings cannot fit in the bytes left: refused before
+    // anything is sized from the count.
+    EXPECT_THROW((void)decodeTuneResponse(payload, space, 1),
+                 ProtocolError);
 }
 
 } // namespace

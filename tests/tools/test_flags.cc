@@ -45,7 +45,8 @@ TEST(FlagParser, RejectsMalformedNumbersAndKeepsTheTarget)
 {
     for (const std::string arg :
          {"--jobs=-1", "--jobs=4x", "--jobs= 7", "--port=8080abc",
-          "--interval=1.5s", "--port=65536", "--jobs="}) {
+          "--interval=1.5s", "--port=65536", "--jobs=",
+          "--jobs=18446744073709551616"}) {
         NumericFlags flags;
         EXPECT_FALSE(flags.parse(arg)) << arg;
         EXPECT_EQ(flags.parser.badArgument(), arg);

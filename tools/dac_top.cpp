@@ -18,7 +18,8 @@
  *
  *   --port=N        server port (required)
  *   --host=H        server host (default 127.0.0.1)
- *   --interval=SEC  seconds between polls (default 2)
+ *   --interval=SEC  seconds between polls (default 2; positive and
+ *                   finite)
  *   --count=N       exit after N snapshots (default 0 = run forever);
  *                   --count=1 prints one snapshot and exits, which is
  *                   what scripts and CI use
@@ -29,6 +30,7 @@
  * Exits 0 on --count completion, 1 on connection loss or bad usage.
  */
 
+#include <cmath>
 #include <iostream>
 #include <map>
 #include <string>
@@ -187,7 +189,10 @@ main(int argc, char **argv)
         dump = v;
         return v == "json" || v == "prometheus" || v == "flight";
     });
-    if (!flags.parse(argc, argv) || !flags.positionals().empty()) {
+    // A non-positive interval would poll back to back, and a
+    // non-finite one would reach sleep_for.
+    if (!flags.parse(argc, argv) || !flags.positionals().empty() ||
+        !(std::isfinite(interval_sec) && interval_sec > 0.0)) {
         std::cerr << "usage: dac_top --port=N [--host=H]"
                   << " [--interval=SEC] [--count=N]"
                   << " [--dump=json|prometheus|flight]\n";

@@ -1,10 +1,10 @@
 /**
  * @file
  * Shared `--name=value` flag parsing for the command-line tools
- * (dac_lint, dac_top, dac_request, dac_snap). Each tool binds its
- * flags to locals, calls parse(), and prints its own usage on
- * failure — the parser deliberately knows nothing about any specific
- * tool.
+ * (dac_lint, dac_top, dac_request, dac_snap) and the tuning_server
+ * example. Each tool binds its flags to locals, calls parse(), and
+ * prints its own usage on failure — the parser deliberately knows
+ * nothing about any specific tool.
  *
  * Grammar: `--name=VALUE` for value flags, `--name` for switches,
  * everything else is a positional argument. Unknown flags and values
@@ -142,10 +142,11 @@ class FlagParser
         return bad;
     }
 
-  private:
     /** Store `text` in *target when all of it is one number of type
      *  T; otherwise return false and leave *target alone. An
-     *  unsigned T takes no sign, and no T takes surrounding space. */
+     *  unsigned T takes no sign, and no T takes surrounding space.
+     *  The numeric bindings use it; so may a define() handler or a
+     *  tool reading a positional number. */
     template <typename T>
     static bool
     parseNumber(const std::string &text, T &target)
@@ -159,6 +160,7 @@ class FlagParser
         return true;
     }
 
+  private:
     std::map<std::string, std::function<bool(const std::string &)>> values;
     std::map<std::string, bool *> switches;
     std::vector<std::string> positional;
