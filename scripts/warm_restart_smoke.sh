@@ -1,7 +1,9 @@
 #!/bin/sh
-# Warm-restart smoke test over the real wire: start tuning_server with
-# --snapshot-dir, tune once (cold build, persisted on build), kill the
-# server, start a fresh process on the same directory, and tune again.
+# Warm-restart smoke test over the real wire: seed a snapshot directory
+# with a stale format-1 file, start tuning_server with --snapshot-dir
+# (it must evict that file), tune once (cold build, persisted on build),
+# kill the server, start a fresh process on the same directory, and
+# tune again.
 # The second answer must be byte-identical to the first (dac_request
 # prints every double as its IEEE-754 bit pattern, so `cmp` is the
 # whole comparison) and must be served as a model-cache hit on the
@@ -19,6 +21,7 @@ build_dir=${1:-build}
 server="$build_dir/examples/tuning_server"
 request="$build_dir/tools/dac_request"
 snap="$build_dir/tools/dac_snap"
+stale="$(dirname "$0")/../tests/persist/data/v1_gbrt.dacsnap"
 
 for bin in "$server" "$request" "$snap"; do
     if [ ! -x "$bin" ]; then
@@ -26,6 +29,10 @@ for bin in "$server" "$request" "$snap"; do
         exit 1
     fi
 done
+if [ ! -f "$stale" ]; then
+    echo "warm_restart_smoke: $stale missing" >&2
+    exit 1
+fi
 
 workdir=$(mktemp -d /tmp/dac-warm-smoke-XXXXXX) || exit 1
 snapdir="$workdir/snapshots"
@@ -51,6 +58,9 @@ stop_server() {
     server_pid=""
 }
 
+# --- Upgrade: a format-1 snapshot is stale; the cold start evicts it.
+mkdir -p "$snapdir" && cp "$stale" "$snapdir/v1_gbrt.dacsnap" || exit 1
+
 # --- Cold run: build, answer, persist-on-build, drain. -------------
 start_server cold
 if ! "$request" --port="$port" --workload=TS --size=40 \
@@ -64,6 +74,16 @@ grep -q '^cacheHit 0$' "$workdir/cold.out" || {
     exit 1
 }
 stop_server
+
+grep -q 'evicted stale snapshot v1_gbrt.dacsnap' "$workdir/cold.log" || {
+    echo "warm_restart_smoke: cold start did not evict the v1 snapshot" >&2
+    cat "$workdir/cold.log" >&2
+    exit 1
+}
+if [ -e "$snapdir/v1_gbrt.dacsnap" ]; then
+    echo "warm_restart_smoke: stale v1 snapshot still on disk" >&2
+    exit 1
+fi
 
 count=$(ls "$snapdir"/*.dacsnap 2>/dev/null | wc -l)
 if [ "$count" -lt 1 ]; then
@@ -105,6 +125,7 @@ if ! cmp -s "$workdir/cold.cmp" "$workdir/warm.cmp"; then
     exit 1
 fi
 
-echo "warm restart OK: $count snapshot(s), first post-restart request" \
-    "hit the restored cache, answer byte-identical"
+echo "warm restart OK: stale v1 snapshot evicted, $count snapshot(s)," \
+    "first post-restart request hit the restored cache, answer" \
+    "byte-identical"
 exit 0

@@ -28,7 +28,7 @@ FlatEnsemble::appendMember(double weight, double baseline,
     std::vector<int32_t> new_index;
 
     for (const RegressionTree &tree : trees) {
-        const int32_t base = static_cast<int32_t>(feature.size());
+        const int32_t base = static_cast<int32_t>(packed.size());
         roots.push_back(base);
 
         order.clear();
@@ -50,10 +50,10 @@ FlatEnsemble::appendMember(double weight, double baseline,
             const auto &node =
                 tree.nodes[static_cast<size_t>(order[i])];
             if (node.feature >= 0) {
-                feature.push_back(node.feature);
-                threshold.push_back(node.threshold);
-                leftChild.push_back(
-                    base + new_index[static_cast<size_t>(node.left)]);
+                packed.push_back(PackedNode{
+                    node.feature,
+                    base + new_index[static_cast<size_t>(node.left)],
+                    node.threshold});
                 leafValue.push_back(0.0);
                 minFeatures = std::max(
                     minFeatures, static_cast<size_t>(node.feature) + 1);
@@ -71,15 +71,11 @@ FlatEnsemble::appendMember(double weight, double baseline,
                 // node 0. x[0] is readable whenever a padded step can
                 // occur, since a deeper sibling tree implies a split
                 // node and hence minFeatures >= 1.)
-                feature.push_back(0);
-                threshold.push_back(
-                    std::numeric_limits<double>::quiet_NaN());
-                leftChild.push_back(base + static_cast<int32_t>(i) - 1);
+                packed.push_back(PackedNode{
+                    0, base + static_cast<int32_t>(i) - 1,
+                    std::numeric_limits<double>::quiet_NaN()});
                 leafValue.push_back(leaf_scale * node.value);
             }
-            packed.push_back(PackedNode{feature.back(),
-                                        leftChild.back(),
-                                        threshold.back()});
         }
         depths.push_back(treeDepth(tree));
     }

@@ -7,25 +7,26 @@
  * ~microseconds). The interpreted path walks a pointer-rich object
  * graph — HierarchicalModel -> GradientBoost -> RegressionTree ->
  * vector<Node> — with a virtual call and a bounds assert per hop. A
- * FlatEnsemble is the same trained model flattened once into
- * contiguous structure-of-arrays node storage (feature / threshold /
- * left / right), with per-tree learning rates folded into the leaf
- * values at compile time, so a prediction is a handful of tight array
- * walks with one assert per query.
+ * FlatEnsemble is the same trained model flattened once into one
+ * contiguous array of packed node records (plus the leaf values), with
+ * per-tree learning rates folded into the leaf values at compile time,
+ * so a prediction is a handful of tight array walks with one assert
+ * per query. It is a pure function of the model: snapshots store the
+ * model only and recompile on load (persist/snapshot.h).
  *
  * The walk itself is blocked: at compile time trees are sorted by
  * depth inside fixed-size segments and grouped into blocks of eight
  * structurally-similar lanes (the population-blocked layout — equal
  * depths mean the lock-step walk pads almost nothing, and each block
  * precomputes its step count so no per-query depth scan remains).
- * Node records are packed into a 16-byte interleaved {feature,
- * leftChild, threshold} array, so a walk step costs two loads instead
- * of four. predict() walks a block's eight lanes in lock-step;
- * predictBatch() additionally interleaves sixteen rows per walk; and
- * predictSerial() is the textbook reference (one tree, one serial
- * chain at a time) that tests and benchmarks compare against. The
- * walk is scalar on purpose: an AVX2 gather walk measured slower than
- * the blocked walk on x86-64 (EXPERIMENTS.md, "Ablations").
+ * Each node is one 16-byte {feature, leftChild, threshold} record, so
+ * a walk step costs two loads: the record and x[feature]. predict()
+ * walks a block's eight lanes in lock-step; predictBatch()
+ * additionally interleaves sixteen rows per walk; and predictSerial()
+ * is the textbook reference (one tree, one serial chain at a time)
+ * that tests and benchmarks compare against. The walk is scalar on
+ * purpose: an AVX2 gather walk measured slower than the blocked walk
+ * on x86-64 (EXPERIMENTS.md, "Ablations").
  *
  * Determinism contract: predict(), predictBatch() and predictSerial()
  * return EXACTLY (bit-for-bit) what the interpreted Model::predict
@@ -52,16 +53,12 @@
 
 #include "support/executor.h"
 
-namespace dac::persist {
-struct ModelIo; // snapshot serializer (src/persist/model_io.h)
-}
-
 namespace dac::ml {
 
 class RegressionTree;
 
 /**
- * A trained tree ensemble compiled to contiguous SoA arrays.
+ * A trained tree ensemble compiled to one contiguous node array.
  *
  * Built via Model::compile() (supported by GradientBoost,
  * HierarchicalModel, and LogTargetModel wrappers thereof). Immutable
@@ -109,7 +106,7 @@ class FlatEnsemble
     /** Total trees across all members. */
     size_t treeCount() const { return roots.size(); }
     /** Total nodes across all trees. */
-    size_t nodeCount() const { return feature.size(); }
+    size_t nodeCount() const { return packed.size(); }
     /** Lock-step walk blocks across all members (<= 8 trees each). */
     size_t blockCount() const { return blocks.size(); }
     /** Feature vectors must carry at least this many doubles. */
@@ -121,7 +118,6 @@ class FlatEnsemble
     friend class GradientBoost;
     friend class HierarchicalModel;
     friend class LogTargetModel;
-    friend struct dac::persist::ModelIo;
 
     FlatEnsemble() = default;
 
@@ -210,11 +206,9 @@ class FlatEnsemble
     };
 
     /**
-     * Interleaved per-node record the walks step through: the
-     * {feature, leftChild} pair and the threshold share one 16-byte
-     * record, so a walk step touches one cache line per node instead
-     * of three. Kept alongside the SoA arrays (which the snapshot
-     * format and the compile-time renumbering still use).
+     * One node as the walks step through it: the {feature, leftChild}
+     * pair and the threshold share one 16-byte record, so a walk step
+     * touches one cache line per node.
      */
     struct PackedNode
     {
@@ -255,10 +249,10 @@ class FlatEnsemble
     /** Each sorted tree's original position within its segment — the
      *  accumulation scratch slot. */
     std::vector<int32_t> slotOf;
-    // One entry per node, all trees concatenated, BFS-renumbered per
+    // One record per node, all trees concatenated, BFS-renumbered per
     // tree so a split's children occupy ADJACENT slots: a walk step
     // is the branchless, load-free-child
-    //   i = leftChild[i] + (x[feature[i]] > threshold[i])
+    //   i = n.leftChild + (x[n.feature] > n.threshold)
     // (computed as !(x <= t), so NaN features go right exactly like
     // the interpreted walk's split nodes). Leaves self-loop — feature
     // 0, threshold NaN, leftChild = self - 1 (x <= NaN is false for
@@ -267,12 +261,8 @@ class FlatEnsemble
     // with the pre-scaled leaf value in leafValue[i], so a walk can
     // run a fixed number of steps without a per-node "is leaf" branch
     // and a block's trees walk in lock-step (see predictRaw).
-    std::vector<int32_t> feature;
-    std::vector<double> threshold;
-    std::vector<int32_t> leftChild;
-    std::vector<double> leafValue;
-    /** Interleaved mirror of (feature, leftChild, threshold). */
     std::vector<PackedNode> packed;
+    std::vector<double> leafValue;
     size_t minFeatures = 0;
     bool applyExp = false;
 };

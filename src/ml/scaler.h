@@ -11,10 +11,6 @@
 
 #include "ml/dataset.h"
 
-namespace dac::persist {
-struct ModelIo; // snapshot serializer (src/persist/model_io.h)
-}
-
 namespace dac::ml {
 
 /**
@@ -33,8 +29,6 @@ class Scaler
     size_t featureCount() const { return means.size(); }
 
   private:
-    friend struct dac::persist::ModelIo;
-
     std::vector<double> means;
     std::vector<double> stds;
 };
@@ -51,8 +45,6 @@ class TargetScaler
     double inverse(double z) const;
 
   private:
-    friend struct dac::persist::ModelIo;
-
     double mean = 0.0;
     double std = 1.0;
 };

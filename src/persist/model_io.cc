@@ -1,12 +1,10 @@
 #include "persist/model_io.h"
 
-#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ml/boosting.h"
-#include "ml/flat_ensemble.h"
 #include "ml/hm.h"
 #include "ml/log_target.h"
 #include "ml/regression_tree.h"
@@ -125,20 +123,6 @@ readHmParams(ByteReader &r)
     return p;
 }
 
-void
-writeI32Array(ByteWriter &w, const std::vector<int32_t> &values)
-{
-    for (int32_t v : values)
-        w.i32(v);
-}
-
-void
-writeF64Array(ByteWriter &w, const std::vector<double> &values)
-{
-    for (double v : values)
-        w.f64(v);
-}
-
 } // namespace
 
 void
@@ -163,7 +147,16 @@ ModelIo::readTreeBody(ByteReader &r)
     if (nodeCount == 0)
         corrupt("tree with zero nodes");
     tree.nodes.reserve(nodeCount);
+    // TreeBuilder appends a split's two children right after linking
+    // them, so every node but the root is the child of exactly one
+    // split. A shared child would make compile() copy its subtree once
+    // per path to it (exponential in a DAG); an orphan is dead weight.
+    // Links point forward, so a node is fully linked when reached.
+    const char *notATree = "tree node is not the child of exactly one split";
+    std::vector<uint8_t> linked(nodeCount, 0);
     for (uint32_t i = 0; i < nodeCount; ++i) {
+        if (i > 0 && linked[i] == 0)
+            corrupt(notATree);
         ml::RegressionTree::Node n;
         n.feature = r.i32();
         n.threshold = r.f64();
@@ -181,6 +174,11 @@ ModelIo::readTreeBody(ByteReader &r)
                 n.left >= static_cast<int>(nodeCount) ||
                 n.right >= static_cast<int>(nodeCount)) {
                 corrupt("tree split links out of range");
+            }
+            for (const int child : {n.left, n.right}) {
+                if (linked[static_cast<size_t>(child)] != 0)
+                    corrupt(notATree);
+                linked[static_cast<size_t>(child)] = 1;
             }
         } else if (n.left != -1 || n.right != -1) {
             corrupt("tree leaf with child links");
@@ -217,6 +215,8 @@ ModelIo::readGbrtBody(ByteReader &r)
     for (uint32_t i = 0; i < historyLen; ++i)
         model->_validationHistory.push_back(r.f64());
     const uint32_t treeCount = r.count(56, "boosted tree");
+    if (treeCount == 0)
+        corrupt("boosted model with zero trees");
     model->trees.reserve(treeCount);
     for (uint32_t i = 0; i < treeCount; ++i)
         model->trees.push_back(readTreeBody(r));
@@ -285,268 +285,33 @@ ModelIo::writeModel(ByteWriter &w, const ml::Model &model)
 }
 
 std::unique_ptr<ml::Model>
-ModelIo::readModelTagged(ByteReader &r, int depth)
+ModelIo::readModel(ByteReader &r)
 {
-    if (depth > kMaxWrapDepth)
-        corrupt("model wrapper nesting too deep");
-    const uint8_t tag = r.u8();
+    uint8_t tag = r.u8();
+    const bool logTarget = tag == kTagLogTarget;
+    if (logTarget)
+        tag = r.u8();
+    std::unique_ptr<ml::Model> model;
     switch (tag) {
       case kTagTree:
-        return std::make_unique<ml::RegressionTree>(readTreeBody(r));
+        model = std::make_unique<ml::RegressionTree>(readTreeBody(r));
+        break;
       case kTagGbrt:
-        return readGbrtBody(r);
+        model = readGbrtBody(r);
+        break;
       case kTagHm:
-        return readHmBody(r);
+        model = readHmBody(r);
+        break;
       case kTagLogTarget:
-        return std::make_unique<ml::LogTargetModel>(
-            readModelTagged(r, depth + 1));
+        // compile() folds exactly one exp() into the ensemble.
+        corrupt("log-target wrapping a log-target");
       default:
         throw DecodeError(SnapshotError::UnsupportedModel,
                           "unknown model tag " + std::to_string(tag));
     }
-}
-
-std::unique_ptr<ml::Model>
-ModelIo::readModel(ByteReader &r)
-{
-    return readModelTagged(r, 0);
-}
-
-/**
- * Load-time proof that every index the assert-free predict walk will
- * dereference stays in bounds and that every fixed-step walk
- * terminates on a self-looping leaf. CRC failures catch accidents;
- * this catches everything else.
- */
-void
-ModelIo::validateFlat(const ml::FlatEnsemble &flat)
-{
-    using Flat = ml::FlatEnsemble;
-    const size_t treeTotal = flat.roots.size();
-    const size_t nodeTotal = flat.feature.size();
-
-    if (flat.members.empty() || treeTotal == 0 || nodeTotal == 0)
-        corrupt("flat ensemble with no members");
-    if (flat.minFeatures == 0 ||
-        flat.minFeatures > static_cast<size_t>(kMaxFeatureIndex))
-        corrupt("flat ensemble feature width out of range");
-    if (flat.threshold.size() != nodeTotal ||
-        flat.leftChild.size() != nodeTotal ||
-        flat.leafValue.size() != nodeTotal) {
-        corrupt("flat ensemble node arrays disagree on length");
-    }
-    if (flat.depths.size() != treeTotal || flat.slotOf.size() != treeTotal)
-        corrupt("flat ensemble tree arrays disagree on length");
-
-    for (const auto &m : flat.members) {
-        if (m.treeCount == 0 ||
-            static_cast<size_t>(m.firstTree) + m.treeCount > treeTotal ||
-            static_cast<size_t>(m.firstSegment) + m.segmentCount >
-                flat.segments.size()) {
-            corrupt("flat member ranges out of bounds");
-        }
-    }
-    for (const auto &s : flat.segments) {
-        if (s.treeCount == 0 || s.treeCount > Flat::kSegmentTrees ||
-            static_cast<size_t>(s.firstTree) + s.treeCount > treeTotal ||
-            static_cast<size_t>(s.firstBlock) + s.blockCount >
-                flat.blocks.size()) {
-            corrupt("flat segment ranges out of bounds");
-        }
-        for (uint32_t j = 0; j < s.treeCount; ++j) {
-            const int32_t slot = flat.slotOf[s.firstTree + j];
-            if (slot < 0 || static_cast<uint32_t>(slot) >= s.treeCount)
-                corrupt("flat slotOf outside its segment");
-        }
-    }
-    for (const auto &b : flat.blocks) {
-        if (b.treeCount == 0 || b.treeCount > 8 ||
-            static_cast<size_t>(b.firstTree) + b.treeCount > treeTotal ||
-            b.steps < 0 || static_cast<size_t>(b.steps) > nodeTotal) {
-            corrupt("flat block ranges out of bounds");
-        }
-    }
-    for (size_t i = 0; i < treeTotal; ++i) {
-        if (flat.roots[i] < 0 ||
-            static_cast<size_t>(flat.roots[i]) >= nodeTotal)
-            corrupt("flat tree root out of bounds");
-        if (flat.depths[i] < 0 ||
-            static_cast<size_t>(flat.depths[i]) > nodeTotal)
-            corrupt("flat tree depth out of bounds");
-    }
-    for (size_t i = 0; i < nodeTotal; ++i) {
-        const int32_t left = flat.leftChild[i];
-        if (flat.feature[i] < 0 ||
-            static_cast<size_t>(flat.feature[i]) >= flat.minFeatures)
-            corrupt("flat node feature out of range");
-        if (std::isnan(flat.threshold[i])) {
-            // Self-looping leaf: the step always takes left + 1 = i.
-            if (left != static_cast<int32_t>(i) - 1)
-                corrupt("flat leaf does not self-loop");
-        } else {
-            // Split: children adjacent, strictly forward (the BFS
-            // renumbering appends children after their parent), so
-            // any finite step count lands on a leaf without cycling.
-            if (left <= static_cast<int32_t>(i) ||
-                static_cast<size_t>(left) + 1 >= nodeTotal) {
-                corrupt("flat split children out of bounds");
-            }
-        }
-    }
-}
-
-void
-ModelIo::writeFlat(ByteWriter &w, const ml::FlatEnsemble &flat)
-{
-    w.u64(static_cast<uint64_t>(flat.minFeatures));
-    w.u8(flat.applyExp ? 1 : 0);
-
-    w.u32(static_cast<uint32_t>(flat.members.size()));
-    for (const auto &m : flat.members) {
-        w.f64(m.weight);
-        w.f64(m.baseline);
-        w.u32(m.firstTree);
-        w.u32(m.treeCount);
-        w.u32(m.firstSegment);
-        w.u32(m.segmentCount);
-    }
-    w.u32(static_cast<uint32_t>(flat.segments.size()));
-    for (const auto &s : flat.segments) {
-        w.u32(s.firstTree);
-        w.u32(s.treeCount);
-        w.u32(s.firstBlock);
-        w.u32(s.blockCount);
-    }
-    w.u32(static_cast<uint32_t>(flat.blocks.size()));
-    for (const auto &b : flat.blocks) {
-        w.u32(b.firstTree);
-        w.u32(b.treeCount);
-        w.i32(b.steps);
-    }
-    w.u32(static_cast<uint32_t>(flat.roots.size()));
-    writeI32Array(w, flat.roots);
-    writeI32Array(w, flat.depths);
-    writeI32Array(w, flat.slotOf);
-    w.u32(static_cast<uint32_t>(flat.feature.size()));
-    writeI32Array(w, flat.feature);
-    writeF64Array(w, flat.threshold);
-    writeI32Array(w, flat.leftChild);
-    writeF64Array(w, flat.leafValue);
-    // `packed` is a pure re-interleaving of (feature, leftChild,
-    // threshold); it is rebuilt on load, never stored.
-}
-
-std::unique_ptr<ml::FlatEnsemble>
-ModelIo::readFlat(ByteReader &r)
-{
-    using Flat = ml::FlatEnsemble;
-    std::unique_ptr<Flat> flat(new Flat());
-
-    flat->minFeatures = static_cast<size_t>(r.u64());
-    flat->applyExp = r.u8() != 0;
-
-    const uint32_t memberCount = r.count(40, "flat member");
-    flat->members.reserve(memberCount);
-    for (uint32_t i = 0; i < memberCount; ++i) {
-        Flat::Member m;
-        m.weight = r.f64();
-        m.baseline = r.f64();
-        m.firstTree = r.u32();
-        m.treeCount = r.u32();
-        m.firstSegment = r.u32();
-        m.segmentCount = r.u32();
-        flat->members.push_back(m);
-    }
-    const uint32_t segmentCount = r.count(16, "flat segment");
-    flat->segments.reserve(segmentCount);
-    for (uint32_t i = 0; i < segmentCount; ++i) {
-        Flat::Segment s;
-        s.firstTree = r.u32();
-        s.treeCount = r.u32();
-        s.firstBlock = r.u32();
-        s.blockCount = r.u32();
-        flat->segments.push_back(s);
-    }
-    const uint32_t blockCount = r.count(12, "flat block");
-    flat->blocks.reserve(blockCount);
-    for (uint32_t i = 0; i < blockCount; ++i) {
-        Flat::Block b;
-        b.firstTree = r.u32();
-        b.treeCount = r.u32();
-        b.steps = r.i32();
-        flat->blocks.push_back(b);
-    }
-    const uint32_t treeCount = r.count(12, "flat tree");
-    flat->roots.reserve(treeCount);
-    for (uint32_t i = 0; i < treeCount; ++i)
-        flat->roots.push_back(r.i32());
-    flat->depths.reserve(treeCount);
-    for (uint32_t i = 0; i < treeCount; ++i)
-        flat->depths.push_back(r.i32());
-    flat->slotOf.reserve(treeCount);
-    for (uint32_t i = 0; i < treeCount; ++i)
-        flat->slotOf.push_back(r.i32());
-
-    const uint32_t nodeCount = r.count(24, "flat node");
-    flat->feature.reserve(nodeCount);
-    for (uint32_t i = 0; i < nodeCount; ++i)
-        flat->feature.push_back(r.i32());
-    flat->threshold.reserve(nodeCount);
-    for (uint32_t i = 0; i < nodeCount; ++i)
-        flat->threshold.push_back(r.f64());
-    flat->leftChild.reserve(nodeCount);
-    for (uint32_t i = 0; i < nodeCount; ++i)
-        flat->leftChild.push_back(r.i32());
-    flat->leafValue.reserve(nodeCount);
-    for (uint32_t i = 0; i < nodeCount; ++i)
-        flat->leafValue.push_back(r.f64());
-
-    validateFlat(*flat);
-
-    flat->packed.reserve(nodeCount);
-    for (uint32_t i = 0; i < nodeCount; ++i) {
-        flat->packed.push_back(Flat::PackedNode{
-            flat->feature[i], flat->leftChild[i], flat->threshold[i]});
-    }
-    return flat;
-}
-
-void
-ModelIo::writeScaler(ByteWriter &w, const ml::Scaler &scaler)
-{
-    w.u32(static_cast<uint32_t>(scaler.means.size()));
-    writeF64Array(w, scaler.means);
-    writeF64Array(w, scaler.stds);
-}
-
-ml::Scaler
-ModelIo::readScaler(ByteReader &r)
-{
-    ml::Scaler scaler;
-    const uint32_t n = r.count(16, "scaler feature");
-    scaler.means.reserve(n);
-    for (uint32_t i = 0; i < n; ++i)
-        scaler.means.push_back(r.f64());
-    scaler.stds.reserve(n);
-    for (uint32_t i = 0; i < n; ++i)
-        scaler.stds.push_back(r.f64());
-    return scaler;
-}
-
-void
-ModelIo::writeTargetScaler(ByteWriter &w, const ml::TargetScaler &scaler)
-{
-    w.f64(scaler.mean);
-    w.f64(scaler.std);
-}
-
-ml::TargetScaler
-ModelIo::readTargetScaler(ByteReader &r)
-{
-    ml::TargetScaler scaler;
-    scaler.mean = r.f64();
-    scaler.std = r.f64();
-    return scaler;
+    if (logTarget)
+        model = std::make_unique<ml::LogTargetModel>(std::move(model));
+    return model;
 }
 
 } // namespace dac::persist

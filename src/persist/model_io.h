@@ -1,32 +1,37 @@
 /**
  * @file
- * Serialization of trained models and their compiled form.
+ * Serialization of trained models.
  *
  * ModelIo is the single befriended door into the ml classes' private
  * state: RegressionTree nodes, GradientBoost trees and baselines,
- * HierarchicalModel members, the LogTarget wrapper, the scalers, and
- * every FlatEnsemble SoA array including the depth-sorted blocked
- * layout. Width and byte order come from support/bytes.h; this file
- * owns field ORDER and the structural validation run on load.
+ * HierarchicalModel members and the LogTarget wrapper. Width and byte
+ * order come from support/bytes.h; this file owns field ORDER and the
+ * structural validation run on load.
  *
  * Two invariants the encoders/decoders must keep:
  *
- *  - Bit-exactness: every double travels as its IEEE-754 bit pattern
- *    and the compiled FlatEnsemble is stored verbatim rather than
- *    recompiled on load, so a reloaded model reproduces the original's
- *    predictions bit-for-bit through every walk (the derived `packed`
- *    mirror is rebuilt from the stored SoA arrays — it is a pure
- *    re-interleaving, not arithmetic).
+ *  - Bit-exactness: every double travels as its IEEE-754 bit pattern,
+ *    so a reloaded model predicts bit-for-bit like the original. The
+ *    compiled FlatEnsemble is not stored: it is a pure function of the
+ *    model, and the snapshot decoder derives it with Model::compile().
  *
  *  - Determinism: encoding the same model twice yields the same bytes
  *    (no timestamps, no pointers, no map iteration), which is what
  *    makes the snapshot-of-reload idempotence test meaningful.
  *
  * Decoders trust nothing: the payload CRC has already passed when they
- * run, but every index that will later be dereferenced on the predict
- * hot path (which runs assert-free by design) is bounds-checked here
- * once, at load time. See validateFlat() in model_io.cc for the full
- * invariant list.
+ * run, but a decoded model must be one that compile() and both predict
+ * paths handle without asserting or blowing up. Every index the
+ * assert-free walks will dereference is bounds-checked here, and so is
+ * the shape compile() assumes:
+ *
+ *  - every tree is a tree: split links point forward and in range, and
+ *    every node but the root is the child of exactly one split (a
+ *    shared child makes compile's BFS copy whole subtrees, which grows
+ *    exponentially and breaks the adjacent-children layout);
+ *  - every booster, standalone or as an HM member, has at least one
+ *    tree, and every HM at least one member;
+ *  - a log-target wrapper never wraps another one.
  */
 
 #ifndef DAC_PERSIST_MODEL_IO_H
@@ -35,11 +40,9 @@
 #include <memory>
 
 #include "ml/model.h"
-#include "ml/scaler.h"
 #include "persist/bytes.h"
 
 namespace dac::ml {
-class FlatEnsemble;
 class GradientBoost;
 class HierarchicalModel;
 class RegressionTree;
@@ -63,30 +66,14 @@ struct ModelIo
      */
     static void writeModel(ByteWriter &w, const ml::Model &model);
 
-    /** Rebuild a model written by writeModel. */
+    /**
+     * Rebuild a model written by writeModel. Throws DecodeError
+     * (Corrupt) for any structure the rules above reject, so
+     * Model::compile() on the result never asserts.
+     */
     static std::unique_ptr<ml::Model> readModel(ByteReader &r);
 
-    /** Serialize a compiled ensemble, all SoA arrays verbatim. */
-    static void writeFlat(ByteWriter &w, const ml::FlatEnsemble &flat);
-
-    /** Rebuild (and validate) a compiled ensemble. */
-    static std::unique_ptr<ml::FlatEnsemble> readFlat(ByteReader &r);
-
-    /** Serialize a fitted feature scaler. */
-    static void writeScaler(ByteWriter &w, const ml::Scaler &scaler);
-    static ml::Scaler readScaler(ByteReader &r);
-
-    /** Serialize a fitted target scaler. */
-    static void writeTargetScaler(ByteWriter &w,
-                                  const ml::TargetScaler &scaler);
-    static ml::TargetScaler readTargetScaler(ByteReader &r);
-
   private:
-    static constexpr int kMaxWrapDepth = 8;
-
-    static std::unique_ptr<ml::Model> readModelTagged(ByteReader &r,
-                                                      int depth);
-
     // Untagged bodies shared between the tagged entry points and the
     // containers that nest them (HM members hold GradientBoosts).
     // Members rather than file-local helpers because they touch the
@@ -97,7 +84,6 @@ struct ModelIo
     static std::unique_ptr<ml::GradientBoost> readGbrtBody(ByteReader &r);
     static void writeHmBody(ByteWriter &w, const ml::HierarchicalModel &m);
     static std::unique_ptr<ml::HierarchicalModel> readHmBody(ByteReader &r);
-    static void validateFlat(const ml::FlatEnsemble &flat);
 };
 
 } // namespace dac::persist

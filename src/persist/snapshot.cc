@@ -55,9 +55,6 @@ encodePayload(const SnapshotView &view)
     }
 
     ModelIo::writeModel(w, *view.model);
-    w.u8(view.compiled != nullptr ? 1 : 0);
-    if (view.compiled != nullptr)
-        ModelIo::writeFlat(w, *view.compiled);
     return w.take();
 }
 
@@ -90,9 +87,9 @@ decodePayload(ByteReader &r)
     }
 
     snap.model = ModelIo::readModel(r);
-    if (r.u8() != 0)
-        snap.compiled = ModelIo::readFlat(r);
     r.expectEnd();
+    // readModel's rules are exactly what compile() assumes.
+    snap.compiled = snap.model->compile();
     return snap;
 }
 
@@ -247,7 +244,6 @@ viewOf(const ModelSnapshot &snapshot)
     view.overhead = &snapshot.overhead;
     view.vectors = &snapshot.vectors;
     view.model = snapshot.model.get();
-    view.compiled = snapshot.compiled.get();
     return view;
 }
 

@@ -3,10 +3,12 @@
  * Versioned, checksummed model snapshots — the on-disk format behind
  * warm restarts (ROADMAP: "Model persistence and warm restarts").
  *
- * A snapshot file is one cache entry: the tuning key, the trained
- * model (HM/GBRT trees with every training artifact), the compiled
- * FlatEnsemble, the training vectors, and the bookkeeping the serving
- * layer reports (model error, tuner overhead). Layout:
+ * A snapshot file is one cache entry: the tuning key, the training
+ * vectors, the bookkeeping the serving layer reports (model error,
+ * tuner overhead) and, last, the trained model (HM/GBRT trees with
+ * every training artifact). The compiled FlatEnsemble is not stored:
+ * it is a pure function of the model, cheaper to derive than to
+ * decode, so the decoder recompiles it. Layout:
  *
  *       offset  size  field
  *            0     4  magic "DACS" (0x53434144 LE)
@@ -22,8 +24,8 @@
  * SnapshotError: size/magic/header-CRC first (is this even one of our
  * files, undamaged enough to trust the header?), then version/flags
  * (do we speak it?), then length and payload CRC (is the body
- * intact?), and only then structural parsing. A reader never walks
- * payload bytes that have not passed their checksum.
+ * intact?), and only then structural parsing and compile. A reader
+ * never walks payload bytes that have not passed their checksum.
  *
  * Versioning rule: readers accept exactly kSnapshotVersion. Any layout
  * change — even an appended field — bumps it, and loaders treat old
@@ -59,8 +61,11 @@ class FlatEnsemble;
 
 namespace dac::persist {
 
-/** Current snapshot format version; see the versioning rule above. */
-inline constexpr uint16_t kSnapshotVersion = 1;
+/**
+ * Current snapshot format version; see the versioning rule above.
+ * Version 1 also stored the compiled ensemble after the model.
+ */
+inline constexpr uint16_t kSnapshotVersion = 2;
 
 /** "DACS", little-endian. */
 inline constexpr uint32_t kSnapshotMagic = 0x53434144u;
@@ -103,13 +108,15 @@ struct ModelSnapshot
     core::TunerOverhead overhead;
     std::vector<core::PerfVector> vectors;
     std::shared_ptr<const ml::Model> model;
+    /** model->compile(), derived by the decoder (not stored); null for
+     *  a model with no compiled form (a bare RegressionTree). */
     std::shared_ptr<const ml::FlatEnsemble> compiled;
 };
 
 /**
- * Borrowed view of the same fields, so the model cache can encode an
+ * Borrowed view of the stored fields, so the model cache can encode an
  * entry it holds by shared_ptr without copying model or vectors.
- * `compiled` may be null (the loader recompiles); `model` must not be.
+ * `model` must not be null.
  */
 struct SnapshotView
 {
@@ -120,7 +127,6 @@ struct SnapshotView
     const core::TunerOverhead *overhead = nullptr;
     const std::vector<core::PerfVector> *vectors = nullptr;
     const ml::Model *model = nullptr;
-    const ml::FlatEnsemble *compiled = nullptr;
 };
 
 /** Outcome of decodeSnapshot/loadSnapshotFile. */
@@ -143,10 +149,12 @@ struct SnapshotLoadResult
 std::vector<uint8_t> encodeSnapshot(const SnapshotView &view);
 
 /**
- * Decode and validate a snapshot image. Never throws and never
- * crashes on arbitrary bytes — every failure mode maps to a typed
- * SnapshotError (the corruption battery replays truncations and bit
- * flips through here under ASan to keep it that way).
+ * Decode and validate a snapshot image, then compile the model into
+ * ModelSnapshot::compiled. Never throws and never crashes on arbitrary
+ * bytes — every failure mode maps to a typed SnapshotError (the
+ * corruption batteries replay truncations, bit flips and resealed
+ * payload mutations through here, compile included, under ASan to
+ * keep it that way).
  */
 SnapshotLoadResult decodeSnapshot(const uint8_t *data, size_t len);
 

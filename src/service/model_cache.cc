@@ -199,7 +199,6 @@ ModelCache::writeSnapshot(const std::string &dir, const ModelKey &key,
     view.overhead = &model.overhead;
     view.vectors = &model.vectors;
     view.model = model.model.get();
-    view.compiled = model.compiled.get();
 
     const std::string path =
         (std::filesystem::path(dir) / snapshotFileName(key)).string();
@@ -261,10 +260,7 @@ ModelCache::restoreFrom(const std::string &dir)
         ModelKey key{snap.workload, snap.cluster, snap.sizeBand};
         auto entry = std::make_shared<CachedModel>();
         entry->model = snap.model;
-        entry->compiled = snap.compiled != nullptr
-                              ? snap.compiled
-                              : std::shared_ptr<const ml::FlatEnsemble>(
-                                    snap.model->compile());
+        entry->compiled = snap.compiled;
         entry->vectors = std::move(snap.vectors);
         entry->modelErrorPct = snap.modelErrorPct;
         entry->overhead = snap.overhead;

@@ -8,11 +8,21 @@ namespace dac {
 
 namespace {
 
+/**
+ * Deepest array/object nesting parseJson accepts. The parser recurses
+ * once per level, and the documents it reads can arrive over the wire
+ * (dac_top's Stats and FlightDump bodies, up to the 1-MiB frame
+ * ceiling), so without a cap a run of '[' overflows the stack. The
+ * project's own documents nest a few levels deep.
+ */
+constexpr int kMaxJsonDepth = 64;
+
 /** Cursor over the document; every helper advances `at`. */
 struct Parser
 {
     const std::string &text;
     size_t at = 0;
+    int depth = 0;
 
     [[noreturn]] void
     fail(const std::string &what) const
@@ -33,7 +43,7 @@ struct Parser
     peek() const
     {
         if (at >= text.size())
-            throw JsonError("unexpected end of document");
+            fail("unexpected end of document");
         return text[at];
     }
 
@@ -61,9 +71,14 @@ struct Parser
         const char c = peek();
         switch (c) {
         case '{':
-            return parseObject();
-        case '[':
-            return parseArray();
+        case '[': {
+            if (++depth > kMaxJsonDepth)
+                fail("nesting deeper than " +
+                     std::to_string(kMaxJsonDepth));
+            JsonValue v = c == '{' ? parseObject() : parseArray();
+            --depth;
+            return v;
+        }
         case '"': {
             JsonValue v;
             v.kind = JsonValue::Kind::String;

@@ -7,9 +7,11 @@
  * (tools/dac_top, the trace parse-back tests) need a parser, and the
  * container has no third-party JSON library. This one covers the full
  * JSON grammar the project writes: objects, arrays, strings with the
- * standard escapes, numbers, booleans, null. It is a reader for
- * trusted, self-produced documents — errors throw JsonError with the
- * byte offset, and there is no streaming mode.
+ * standard escapes, numbers, booleans, null. The documents it reads
+ * may come off the wire (dac_top parses the server's Stats and
+ * FlightDump bodies), so it treats its input as untrusted: every
+ * defect, including nesting deeper than 64 levels, throws JsonError
+ * with the byte offset. There is no streaming mode.
  */
 
 #ifndef DAC_SUPPORT_JSON_H

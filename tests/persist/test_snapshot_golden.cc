@@ -11,8 +11,11 @@
  *    golden_gbrt.expected records probe predictions as IEEE-754 bit
  *    patterns; the current reader must reproduce every one.
  *  - golden_hm.dacsnap: a log-target HM exercising the full format
- *    (members, wrapper, compiled blocked layout); pinned by
- *    byte-identical re-encode rather than prediction bits.
+ *    (members, wrapper); pinned by byte-identical re-encode rather
+ *    than prediction bits.
+ *  - v1_gbrt.dacsnap: golden_gbrt.dacsnap as format version 1 wrote
+ *    it (the compiled ensemble stored after the model). The current
+ *    reader must call it stale, BadVersion, so the cache evicts it.
  *
  * Header-damage cases (bumped version, wrong checksum) reseal the
  * header CRC after mutating, so the mutation under test is what the
@@ -85,7 +88,6 @@ goldenData(uint64_t seed)
 std::vector<uint8_t>
 encodeGolden(const ml::Model &model, const std::string &workload)
 {
-    const std::unique_ptr<ml::FlatEnsemble> compiled = model.compile();
     std::vector<core::PerfVector> vectors(2);
     vectors[0] = {12.5, {0.1, 0.2, 0.3, 0.4}, 4e10};
     vectors[1] = {18.25, {0.5, 0.6, 0.7, 0.8}, 8e10};
@@ -104,7 +106,6 @@ encodeGolden(const ml::Model &model, const std::string &workload)
     view.overhead = &overhead;
     view.vectors = &vectors;
     view.model = &model;
-    view.compiled = compiled.get();
     return encodeSnapshot(view);
 }
 
@@ -260,6 +261,22 @@ TEST(SnapshotGolden, RetrainReproducesFixtureBytes)
                 readFixture("golden_gbrt.dacsnap"));
     EXPECT_TRUE(encodeGolden(*goldenHm(), "KM") ==
                 readFixture("golden_hm.dacsnap"));
+}
+
+TEST(SnapshotGolden, V1FixtureIsStale)
+{
+    // Format 1 stored the compiled ensemble after the model. The
+    // reader speaks only the current version, so the file is stale:
+    // BadVersion, which the model cache answers by deleting it.
+    const auto image = readFixture("v1_gbrt.dacsnap");
+    ASSERT_FALSE(image.empty());
+    SnapshotHeader header;
+    EXPECT_EQ(readSnapshotHeader(image.data(), image.size(), &header),
+              SnapshotError::BadVersion);
+    EXPECT_EQ(header.version, 1u);
+    const auto result = decodeSnapshot(image.data(), image.size());
+    EXPECT_EQ(result.error, SnapshotError::BadVersion);
+    EXPECT_EQ(result.snapshot.model, nullptr);
 }
 
 TEST(SnapshotGolden, BumpedVersionRejectedAsBadVersion)

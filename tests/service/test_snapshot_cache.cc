@@ -2,7 +2,8 @@
  * @file
  * ModelCache snapshot/restore: persistence of every entry to a directory,
  * warm restore with bit-identical predictions, stale-version eviction,
- * corrupt-file skipping, and the accounting contract (a restore must
+ * corrupt-file skipping (a service restoring such a file still builds
+ * and answers its key), and the accounting contract (a restore must
  * not skew hit/miss stats — the warm-restart test reads them).
  */
 
@@ -11,6 +12,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -20,6 +22,8 @@
 #include "ml/flat_ensemble.h"
 #include "persist/snapshot.h"
 #include "service/model_cache.h"
+#include "service/service.h"
+#include "sparksim/simulator.h"
 #include "support/checksum.h"
 #include "support/mapped_file.h"
 #include "support/random.h"
@@ -184,6 +188,51 @@ TEST_F(SnapshotCacheTest, CorruptFilesAreSkippedNotDeleted)
     // Unlike stale versions, damage is kept for a human to examine.
     EXPECT_EQ(listFilesWithSuffix(dir, persist::kSnapshotSuffix).size(),
               1u);
+}
+
+TEST_F(SnapshotCacheTest, UncompilableFileIsSkippedAndItsKeyRebuilt)
+{
+    // A checksum-valid snapshot of a booster with no trees, filed
+    // under the key a TS request at size 40 maps to. compile() asserts
+    // on such a model, so the decoder must type the file Corrupt.
+    const sparksim::SparkSimulator sim(
+        cluster::ClusterSpec::paperTestbed());
+    const ModelKey tsKey{"TS", sim.clusterSpec().signature(),
+                         sizeBandOf(40)};
+    CachedModel empty;
+    empty.model = std::make_shared<ml::GradientBoost>(ml::BoostParams{});
+    ASSERT_TRUE(ModelCache::writeSnapshot(dir, tsKey, empty));
+    const std::string path =
+        dir + "/" + ModelCache::snapshotFileName(tsKey);
+
+    ModelCache cache(4);
+    const auto io = cache.restoreFrom(dir);
+    EXPECT_EQ(io.loaded, 0u);
+    EXPECT_EQ(io.failed, 1u);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_TRUE(std::filesystem::exists(path));
+
+    // A service restoring the same directory starts, builds the key
+    // on its first request and answers it.
+    ServiceOptions options;
+    options.threads = 2;
+    options.modelCacheCapacity = 4;
+    options.tuning.collect.datasetCount = 4;
+    options.tuning.collect.runsPerDataset = 12;
+    options.tuning.hm.firstOrder.maxTrees = 60;
+    options.tuning.hm.firstOrder.convergencePatience = 30;
+    options.tuning.ga.maxGenerations = 25;
+    options.snapshotDir = dir;
+    TuningService service(sim, options);
+    EXPECT_EQ(service.cacheStats().size, 0u);
+    TuneRequest request;
+    request.workload = "TS";
+    request.nativeSize = 40;
+    const TuneResponse answer = service.submit(request).get();
+    EXPECT_FALSE(answer.modelCacheHit);
+    EXPECT_FALSE(answer.degraded);
+    // The build persisted over the bad file.
+    EXPECT_TRUE(persist::loadSnapshotFile(path).ok());
 }
 
 TEST_F(SnapshotCacheTest, RestoreFromMissingDirectoryIsEmpty)

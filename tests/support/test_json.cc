@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "support/json.h"
 
 namespace dac {
@@ -92,6 +94,90 @@ TEST(Json, RejectsMalformedDocuments)
     EXPECT_THROW((void)parseJson("\"unterminated"), JsonError);
     EXPECT_THROW((void)parseJson("1 trailing"), JsonError);
     EXPECT_THROW((void)parseJson("nul"), JsonError);
+}
+
+TEST(Json, NestingPastTheCapIsAnErrorWithItsOffset)
+{
+    // The parser recurses once per level. 100,000 '[' (100 KB, inside
+    // the 1-MiB frame ceiling dac_top reads under) used to overflow
+    // the stack; past 64 levels it is a JsonError at the 65th opener.
+    const auto arrays = [](size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    const auto objects = [](size_t depth) {
+        std::string doc;
+        for (size_t i = 0; i < depth; ++i)
+            doc += "{\"k\": ";
+        return doc + "0" + std::string(depth, '}');
+    };
+    EXPECT_NO_THROW((void)parseJson(arrays(64)));
+    EXPECT_NO_THROW((void)parseJson(objects(64)));
+    for (const size_t depth : {size_t{65}, size_t{100000}}) {
+        for (const std::string &doc : {arrays(depth), objects(depth)}) {
+            try {
+                (void)parseJson(doc);
+                ADD_FAILURE() << "accepted depth " << depth;
+            } catch (const JsonError &e) {
+                const size_t opener = doc[0] == '[' ? 64 : 64 * 6;
+                EXPECT_NE(std::string(e.what()).find(
+                              "at offset " + std::to_string(opener)),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
+/** Every truncation of `doc`, and `doc` with each byte set to 0x00 and
+ *  to 0xff: each must parse or throw JsonError, nothing else. */
+void
+expectValueOrJsonError(const std::string &doc, const char *what)
+{
+    ASSERT_NO_THROW((void)parseJson(doc)) << what;
+    const auto parse = [](const std::string &text) {
+        try {
+            (void)parseJson(text);
+        } catch (const JsonError &) {
+        }
+    };
+    for (size_t len = 0; len < doc.size(); ++len)
+        ASSERT_NO_THROW(parse(doc.substr(0, len)))
+            << what << " truncated to " << len;
+    std::string mutated = doc;
+    for (size_t at = 0; at < doc.size(); ++at) {
+        for (const char value : {'\x00', '\xff'}) {
+            mutated[at] = value;
+            ASSERT_NO_THROW(parse(mutated))
+                << what << " byte " << at << " = "
+                << static_cast<int>(static_cast<unsigned char>(value));
+        }
+        mutated[at] = doc[at];
+    }
+}
+
+TEST(Json, MutatedStatsAndFlightBodiesParseOrThrowJsonError)
+{
+    obs::MetricsRegistry registry;
+    registry.counter("requests.served").increment(41);
+    registry.counter("model_cache.hits").increment(7);
+    for (int i = 1; i <= 20; ++i) {
+        registry.histogram("latency.request").observe(0.001 * i);
+        registry.histogram("phase.search").observe(0.0005 * i);
+    }
+    registry.setGauge("queue.depth", 3);
+    registry.setGauge("model_cache.size", 12);
+    expectValueOrJsonError(registry.renderJson(), "stats body");
+
+    auto &recorder = obs::FlightRecorder::instance();
+    recorder.setEnabled(true);
+    for (uint64_t id = 1; id <= 4; ++id) {
+        obs::FlightRecorder::record(id, obs::FlightPhase::QueueEnter);
+        obs::FlightRecorder::record(id, obs::FlightPhase::ModelBuild,
+                                    0.25);
+    }
+    obs::FlightRecorder::record(5, obs::FlightPhase::Degraded, 0.0,
+                                obs::FlightReason::SearchTruncated);
+    expectValueOrJsonError(recorder.dumpJson(60.0, 16), "flight body");
 }
 
 } // namespace
