@@ -46,7 +46,7 @@ struct CallSite
     std::string name;
     /** `Qual::name(...)` qualifier when present ("FlightRecorder"). */
     std::string qualifier;
-    /** Receiver text for member calls ("replyPool", "slot.seq"). */
+    /** Receiver text for member calls ("pool", "slot.seq"). */
     std::string receiver;
     /** True for `recv.name(...)` / `recv->name(...)`. */
     bool viaMember = false;

@@ -1,9 +1,10 @@
 #include "net/server.h"
 
-#include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <utility>
 
+#include "net/frame.h"
 #include "net/protocol.h"
 #include "obs/flight_recorder.h"
 #include "support/logging.h"
@@ -48,19 +49,12 @@ class Connection : public std::enable_shared_from_this<Connection>
 {
   public:
     Connection(TuningServer &server, TuningServer::Loop &home,
-               Socket socket, size_t max_frame)
-        : server(server), home(home), socket(std::move(socket)),
-          decoder(max_frame)
+               Socket socket)
+        : server(server), home(home), socket(std::move(socket))
     {
     }
 
     [[nodiscard]] int fd() const { return socket.fd(); }
-
-    /** The event loop this connection is pinned to. */
-    [[nodiscard]] EventLoop &homeLoop() { return home.loop; }
-
-    /** The loop slot (event loop + cached metrics) it is pinned to. */
-    [[nodiscard]] TuningServer::Loop &homeSlot() { return home; }
 
     /** Register with the home loop; loop thread only. */
     void
@@ -140,9 +134,7 @@ class Connection : public std::enable_shared_from_this<Connection>
         // Drain every complete frame buffered so far: this whole
         // readiness cycle's worth of requests becomes one batch, and
         // every other frame gets its reply inline, through one path.
-        std::vector<uint32_t> ids;
-        std::vector<uint8_t> versions;
-        std::vector<service::TuneRequest> requests;
+        std::vector<service::TuneJob> jobs;
         std::vector<uint8_t> inlineReplies;
         bool malformed = false;
         Frame frame;
@@ -170,10 +162,19 @@ class Connection : public std::enable_shared_from_this<Connection>
                     obs::FlightRecorder::record(frame.requestId,
                                                 obs::FlightPhase::Decode,
                                                 request.decodeSec);
-                    requests.push_back(std::move(request));
-                    ids.push_back(frame.requestId);
-                    versions.push_back(frame.version);
-                    continue; // the batch's reply task answers it
+                    // The reply is framed (and payload-encoded) with
+                    // the version the request arrived with.
+                    jobs.push_back(
+                        {std::move(request),
+                         [&server = server, &home = home,
+                          weak = weak_from_this(), id = frame.requestId,
+                          version = frame.version](
+                             service::TuneResponse response,
+                             std::exception_ptr error) {
+                             server.reply(home, weak, id, version,
+                                          std::move(response), error);
+                         }});
+                    continue; // the job's reply answers it
                 }
                 case MsgType::Ping:
                     replyType = MsgType::Pong;
@@ -228,11 +229,8 @@ class Connection : public std::enable_shared_from_this<Connection>
 
         if (!inlineReplies.empty())
             send(inlineReplies);
-        if (!requests.empty()) {
-            server.dispatchBatch(shared_from_this(), std::move(ids),
-                                 std::move(versions),
-                                 std::move(requests));
-        }
+        if (!jobs.empty())
+            server.dispatchBatch(*this, std::move(jobs));
         if (malformed) {
             server.counters.protocolErrors.fetch_add(
                 1, std::memory_order_relaxed);
@@ -291,8 +289,6 @@ TuningServer::TuningServer(service::TuningBackend &backend,
 {
     DAC_ASSERT(this->options.eventLoops > 0,
                "server needs at least one event loop");
-    DAC_ASSERT(this->options.replyThreads > 0,
-               "server needs at least one reply thread");
 }
 
 TuningServer::~TuningServer()
@@ -306,9 +302,6 @@ TuningServer::start()
     DAC_ASSERT(!started.load(std::memory_order_acquire),
                "TuningServer::start called twice");
     listener = listenTcp(options.host, options.port);
-
-    replyPool = std::make_unique<service::ThreadPool>(
-        service::ThreadPool::Options{options.replyThreads, 1024});
 
     loops.reserve(options.eventLoops);
     for (size_t i = 0; i < options.eventLoops; ++i)
@@ -329,16 +322,16 @@ TuningServer::start()
         writeHist = &options.metrics->histogram("phase.write");
     }
     for (auto &loop : loops) {
-        Loop *raw = loop.get();
-        loop->thread = std::thread([raw]() { raw->loop.run(); });
+        Loop &slot = *loop;
+        slot.thread = std::thread([&slot]() { slot.loop.run(); });
     }
 
     // The listener lives on loop 0.
-    Loop *loop0 = loops[0].get();
+    EventLoop &loop0 = loops[0]->loop;
     const int listen_fd = listener.fd();
-    loop0->loop.runInLoop([this, loop0, listen_fd]() {
-        loop0->loop.watch(listen_fd, true, false,
-                          [this](const ReadyEvent &) { acceptReady(); });
+    loop0.runInLoop([this, &loop0, listen_fd]() {
+        loop0.watch(listen_fd, true, false,
+                    [this](const ReadyEvent &) { acceptReady(); });
     });
     started.store(true, std::memory_order_release);
 }
@@ -359,19 +352,18 @@ TuningServer::acceptReady()
             return;
         counters.connectionsAccepted.fetch_add(
             1, std::memory_order_relaxed);
-        Loop *target = loops[nextLoop].get();
+        Loop &target = *loops[nextLoop];
         nextLoop = (nextLoop + 1) % loops.size();
         const int fd = accepted.release();
-        target->loop.runInLoop(
-            [this, target, fd]() { adopt(*target, fd); });
+        target.loop.runInLoop(
+            [this, &target, fd]() { adopt(target, fd); });
     }
 }
 
 void
 TuningServer::adopt(Loop &loop, int fd)
 {
-    auto conn = std::make_shared<Connection>(*this, loop, Socket(fd),
-                                             options.maxFrameBytes);
+    auto conn = std::make_shared<Connection>(*this, loop, Socket(fd));
     conn->markAttached();
     loop.connections.emplace(fd, conn);
     conn->attach();
@@ -385,117 +377,108 @@ TuningServer::onConnectionClosed(Loop &loop, int fd)
 }
 
 void
-TuningServer::dispatchBatch(const std::shared_ptr<Connection> &conn,
-                            std::vector<uint32_t> ids,
-                            std::vector<uint8_t> versions,
-                            std::vector<service::TuneRequest> requests)
+TuningServer::dispatchBatch(Connection &conn,
+                            std::vector<service::TuneJob> jobs)
 {
-    counters.batchesSubmitted.fetch_add(1, std::memory_order_relaxed);
-    counters.requestsSubmitted.fetch_add(requests.size(),
-                                         std::memory_order_relaxed);
-    atomicMax(counters.maxBatch, requests.size());
-
-    auto futures = backend->submitBatch(std::move(requests));
-    DAC_ASSERT(futures.size() == ids.size(),
-               "backend returned a short future batch");
-
-    // The reply task is the only place the serving layer blocks:
-    // waiting on backend futures happens on the reply pool, never on
-    // an event loop. The connection is held weakly — if it dies while
-    // the batch is in flight, the responses are simply dropped.
-    std::weak_ptr<Connection> weak = conn;
-    Loop *home = &conn->homeSlot();
-    // Copies for the saturation path below; the task owns the real
-    // vectors once constructed.
-    const std::vector<uint32_t> degradeIds = ids;
-    const std::vector<uint8_t> degradeVersions = versions;
-    auto task = [this, weak, home, ids = std::move(ids),
-                 versions = std::move(versions),
-                 futures = std::make_shared<
-                     std::vector<std::future<service::TuneResponse>>>(
-                     std::move(futures))]() mutable {
-        std::vector<uint8_t> replies;
-        for (size_t i = 0; i < futures->size(); ++i) {
-            std::vector<uint8_t> payload;
-            MsgType type = MsgType::TuneResponse;
-            double latencySec = 0.0;
-            try {
-                service::TuneResponse response = (*futures)[i].get();
-                latencySec = response.latencySec;
-                const auto serializeStart =
-                    std::chrono::steady_clock::now();
-                if (versions[i] >= 2) {
-                    // Placeholder serialize entry, patched below once
-                    // the encoding cost is known.
-                    response.phases.push_back(
-                        {service::Phase::Serialize, 0.0});
-                    payload = encodeTuneResponse(response, versions[i]);
-                    const double serializeSec =
-                        elapsedSec(serializeStart);
-                    patchSerializePhaseSec(payload, serializeSec);
-                    if (serializeHist != nullptr)
-                        serializeHist->observe(serializeSec);
-                    obs::FlightRecorder::record(
-                        ids[i], obs::FlightPhase::Serialize,
-                        serializeSec);
-                } else {
-                    payload = encodeTuneResponse(response, versions[i]);
-                }
-            } catch (const std::exception &e) {
-                type = MsgType::Error;
-                payload = encodeError(e.what());
-                if (home->redErrors != nullptr)
-                    home->redErrors->increment();
-            }
-            // RED per event loop: rate counts every answered request,
-            // errors counted above, duration is submit-to-completion.
-            if (home->redRequests != nullptr)
-                home->redRequests->increment();
-            if (type != MsgType::Error && home->redDuration != nullptr)
-                home->redDuration->observe(latencySec);
-            appendFrame(replies, type, ids[i], payload.data(),
-                        payload.size(), versions[i]);
-            counters.framesSent.fetch_add(1, std::memory_order_relaxed);
-        }
-        obs::Histogram *write_hist = writeHist;
-        home->loop.runInLoop([weak, ids = std::move(ids), write_hist,
-                              replies = std::move(replies)]() {
-            auto conn = weak.lock();
-            if (!conn)
-                return;
-            const auto writeStart = std::chrono::steady_clock::now();
-            conn->send(replies);
-            const double writeSec = elapsedSec(writeStart);
-            // One send carries every reply of the batch, so each
-            // request's write phase is that send.
-            for (const uint32_t id : ids) {
-                if (write_hist != nullptr)
-                    write_hist->observe(writeSec);
-                obs::FlightRecorder::record(id, obs::FlightPhase::Write,
-                                            writeSec);
-            }
-        });
-    };
-    if (replyPool->tryPost(std::move(task)))
-        return;
-
-    // Reply pool saturated: answer the whole batch with inline errors
-    // rather than blocking this event loop on the pool's queueSpace.
-    // The backend still fulfills the dropped futures — under overload
-    // that wasted work is the lesser evil, and the client gets an
-    // immediate, honest answer instead of a stalled connection.
-    counters.repliesDegraded.fetch_add(degradeIds.size(),
-                                       std::memory_order_relaxed);
-    std::vector<uint8_t> replies;
-    const auto payload = encodeError("reply pool saturated");
-    for (size_t i = 0; i < degradeIds.size(); ++i) {
-        appendFrame(replies, MsgType::Error, degradeIds[i],
-                    payload.data(), payload.size(), degradeVersions[i]);
-        counters.framesSent.fetch_add(1, std::memory_order_relaxed);
-        if (home->redErrors != nullptr)
-            home->redErrors->increment();
+    const size_t n = jobs.size();
+    bool refuse = false;
+    {
+        // Counted before the backend sees them: a backend may answer
+        // (and release) a request before submitBatch returns.
+        std::lock_guard<std::mutex> lock(drainMutex);
+        inFlight += n;
+        refuse = stopping;
     }
-    conn->send(replies);
+    if (refuse) {
+        counters.repliesDegraded.fetch_add(n, std::memory_order_relaxed);
+        const auto error =
+            std::make_exception_ptr(std::runtime_error("server stopping"));
+        for (service::TuneJob &job : jobs)
+            job.reply(service::TuneResponse{}, error);
+        return;
+    }
+    counters.batchesSubmitted.fetch_add(1, std::memory_order_relaxed);
+    counters.requestsSubmitted.fetch_add(n, std::memory_order_relaxed);
+    atomicMax(counters.maxBatch, n);
+    try {
+        backend->submitBatch(std::move(jobs));
+    } catch (const std::exception &e) {
+        // A throwing backend answered none of the batch (backend.h)
+        // and never will: release it, and close the connection rather
+        // than leave its requests waiting forever.
+        release(n);
+        warn(std::string("backend rejected a batch: ") + e.what());
+        conn.close();
+    }
+}
+
+void
+TuningServer::reply(Loop &home, const std::weak_ptr<Connection> &conn,
+                    uint32_t id, uint8_t version,
+                    service::TuneResponse response,
+                    std::exception_ptr error)
+{
+    std::vector<uint8_t> payload;
+    MsgType type = MsgType::TuneResponse;
+    try {
+        if (error)
+            std::rethrow_exception(error);
+        if (version >= 2) {
+            // Placeholder serialize entry, patched below once the
+            // encoding cost is known.
+            const auto serializeStart = std::chrono::steady_clock::now();
+            response.phases.push_back({service::Phase::Serialize, 0.0});
+            payload = encodeTuneResponse(response, version);
+            const double serializeSec = elapsedSec(serializeStart);
+            patchSerializePhaseSec(payload, serializeSec);
+            if (serializeHist != nullptr)
+                serializeHist->observe(serializeSec);
+            obs::FlightRecorder::record(id, obs::FlightPhase::Serialize,
+                                        serializeSec);
+        } else {
+            payload = encodeTuneResponse(response, version);
+        }
+    } catch (const std::exception &e) {
+        type = MsgType::Error;
+        payload = encodeError(e.what());
+        if (home.redErrors != nullptr)
+            home.redErrors->increment();
+    }
+    // RED per event loop: rate counts every answered request, errors
+    // counted above, duration is submit-to-completion.
+    if (home.redRequests != nullptr)
+        home.redRequests->increment();
+    if (type != MsgType::Error && home.redDuration != nullptr)
+        home.redDuration->observe(response.latencySec);
+    counters.framesSent.fetch_add(1, std::memory_order_relaxed);
+
+    // The connection is held weakly: if it closed while the request
+    // was in flight, the frame is dropped.
+    home.loop.runInLoop([conn, id, write_hist = writeHist,
+                         frame = encodeFrame(type, id, payload, version)]() {
+        const auto live = conn.lock();
+        if (!live)
+            return;
+        const auto writeStart = std::chrono::steady_clock::now();
+        live->send(frame);
+        const double writeSec = elapsedSec(writeStart);
+        if (write_hist != nullptr)
+            write_hist->observe(writeSec);
+        obs::FlightRecorder::record(id, obs::FlightPhase::Write, writeSec);
+    });
+    // Last: once released, stop() may return and destroy the server.
+    release(1);
+}
+
+void
+TuningServer::release(size_t n)
+{
+    // Notified under the lock, so stop() cannot return (and destroy
+    // the condition variable) before the notify is done.
+    std::lock_guard<std::mutex> lock(drainMutex);
+    inFlight -= n;
+    if (inFlight == 0)
+        drained.notify_all();
 }
 
 void
@@ -540,18 +523,25 @@ TuningServer::stop()
 {
     if (!started.load(std::memory_order_acquire))
         return;
-    if (stopped.exchange(true, std::memory_order_acq_rel))
-        return;
+    {
+        // From here on a new batch is answered "server stopping".
+        std::lock_guard<std::mutex> lock(drainMutex);
+        if (stopping)
+            return;
+        stopping = true;
+    }
 
     // 1. Stop accepting: drop the listener from loop 0, then close it.
-    Loop *loop0 = loops[0].get();
+    EventLoop &loop0 = loops[0]->loop;
     const int listen_fd = listener.fd();
-    loop0->loop.runInLoop(
-        [loop0, listen_fd]() { loop0->loop.unwatch(listen_fd); });
+    loop0.runInLoop([&loop0, listen_fd]() { loop0.unwatch(listen_fd); });
 
-    // 2. Drain in-flight replies while the loops still run, so every
-    //    response already promised gets encoded and queued.
-    replyPool->shutdown();
+    // 2. Wait, while the loops still run, until every request already
+    //    handed to the backend has queued its reply on its loop.
+    {
+        std::unique_lock<std::mutex> lock(drainMutex);
+        drained.wait(lock, [this]() { return inFlight == 0; });
+    }
 
     // 3. Stop the loops (each drains its pending sends on exit), join,
     //    and close whatever connections remain.

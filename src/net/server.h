@@ -9,13 +9,15 @@
  *    round-robin to one loop each and never migrate, so per-connection
  *    state (decoder, write buffer) is single-threaded by construction;
  *  - frames drained from a connection in one readiness cycle form one
- *    batch, submitted to the backend with submitBatch();
- *  - a small reply pool waits on the backend's futures (the only
- *    blocking waits in the layer) and hands encoded responses back to
- *    the owning loop, which coalesces every response of a batch into
- *    a single kernel write;
- *  - responses may interleave across batches; the request id is the
- *    correlation, not arrival order.
+ *    batch, submitted to the backend with submitBatch() as one job
+ *    per request;
+ *  - a job's reply runs on whichever thread answers the request (a
+ *    backend worker, or the loop itself for an inline answer): it
+ *    encodes the response there and hands the frame to the owning
+ *    loop with runInLoop, one write per reply. Nothing in the layer
+ *    waits on the backend;
+ *  - responses may interleave across and within batches; the request
+ *    id is the correlation, not arrival order.
  *
  * Malformed framing (bad magic, unknown version, oversized length)
  * closes the connection; a well-framed but undecodable request
@@ -37,20 +39,21 @@
 #define DAC_NET_SERVER_H
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/event_loop.h"
-#include "net/frame.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "service/backend.h"
-#include "service/thread_pool.h"
 
 namespace dac::net {
 
@@ -68,10 +71,6 @@ struct ServerOptions
     uint16_t port = 0;
     /** Worker event loops; connections are pinned round-robin. */
     size_t eventLoops = 2;
-    /** Threads draining backend futures into response writes. */
-    size_t replyThreads = 2;
-    /** Frame payload ceiling enforced on ingress. */
-    size_t maxFrameBytes = kMaxPayloadBytes;
     /**
      * Registry the server publishes per-loop RED metrics (rate /
      * errors / duration) and serialize/write phase histograms into —
@@ -103,8 +102,8 @@ class TuningServer
         uint64_t maxBatch = 0;
         /** Frame/payload violations (each also closes or errors). */
         uint64_t protocolErrors = 0;
-        /** Requests answered with an inline error because the reply
-         *  pool was saturated (the loop never blocks on it). */
+        /** Requests answered "server stopping" because they arrived
+         *  after stop() began. */
         uint64_t repliesDegraded = 0;
     };
 
@@ -125,7 +124,9 @@ class TuningServer
     [[nodiscard]] uint16_t port() const;
 
     /**
-     * Stop accepting, drain in-flight replies, and join every loop.
+     * Stop accepting, wait until every request already handed to the
+     * backend has queued its reply, and join every loop. Requests
+     * that arrive meanwhile are answered "server stopping".
      * Connections still open are closed. Idempotent. The backend is
      * not shut down — the server does not own it.
      */
@@ -174,13 +175,20 @@ class TuningServer
     void adopt(Loop &loop, int fd);
     /** Called by a connection as it closes (loop thread). */
     void onConnectionClosed(Loop &loop, int fd);
-    /** Called by a connection with one drained batch (loop thread).
-     *  `versions` holds the wire version each request arrived with;
-     *  its reply is framed (and payload-encoded) with the same one. */
-    void dispatchBatch(const std::shared_ptr<Connection> &conn,
-                       std::vector<uint32_t> ids,
-                       std::vector<uint8_t> versions,
-                       std::vector<service::TuneRequest> requests);
+    /** Called by a connection with one drained batch (loop thread):
+     *  counts it in flight and hands it to the backend, or answers it
+     *  "server stopping" once stop() has begun. */
+    void dispatchBatch(Connection &conn,
+                       std::vector<service::TuneJob> jobs);
+    /** A job's reply, on the answering thread: encode the answer to
+     *  request `id` with its wire `version`, queue the frame on
+     *  `home`'s loop for `conn` (that send is the write phase), and
+     *  release the request. */
+    void reply(Loop &home, const std::weak_ptr<Connection> &conn,
+               uint32_t id, uint8_t version,
+               service::TuneResponse response, std::exception_ptr error);
+    /** `n` requests left the backend; wakes stop() at zero. */
+    void release(size_t n);
 
     /** Render a Stats reply (loop thread; see setStatsProvider). */
     [[nodiscard]] std::string renderStats(StatsFormat format) const;
@@ -195,10 +203,13 @@ class TuningServer
     std::vector<std::unique_ptr<Loop>> loops;
     /** Round-robin pin cursor (listener handler only). */
     size_t nextLoop = 0;
-    /** Blocks on backend futures so the loops never do. */
-    std::unique_ptr<service::ThreadPool> replyPool;
     std::atomic<bool> started{false};
-    std::atomic<bool> stopped{false};
+    std::mutex drainMutex; ///< guards inFlight and stopping
+    std::condition_variable drained;
+    /** Requests handed to the backend whose reply has not run. */
+    size_t inFlight = 0;
+    /** Set once stop() has begun. */
+    bool stopping = false;
     std::function<std::string(StatsFormat)> statsProvider;
     std::function<std::string(SnapshotOp)> snapshotProvider;
     // Cached phase histograms (null without ServerOptions::metrics).

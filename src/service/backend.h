@@ -4,16 +4,20 @@
  *
  * Transports (the src/net wire server, the in-process examples, test
  * stubs) program against this interface only, so the serving layer
- * and the tuning pipeline evolve independently: a transport cares
- * that a TuneRequest eventually yields a TuneResponse future, not how
- * models are cached or searches scheduled. TuningService (service.h)
- * is the production implementation.
+ * and the tuning pipeline evolve independently: a transport hands
+ * over each TuneRequest with a callback that its TuneResponse is
+ * delivered to, and never learns how models are cached or searches
+ * scheduled. TuningService (service.h) is the production
+ * implementation.
  */
 
 #ifndef DAC_SERVICE_BACKEND_H
 #define DAC_SERVICE_BACKEND_H
 
+#include <exception>
+#include <functional>
 #include <future>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -22,14 +26,30 @@
 namespace dac::service {
 
 /**
- * The contract: submitBatch() is the one entry point. Futures line up
- * index for index with the batch, and every request is answered as if
- * it had been submitted alone, except that identical requests (equal
+ * Delivers one request's answer: the response, or (with a default
+ * response) the error that stopped the request. Called exactly once,
+ * on whichever thread settles the request, so it must neither block
+ * nor throw.
+ */
+using TuneReply =
+    std::function<void(TuneResponse, std::exception_ptr)>;
+
+/** One request and where its answer goes. */
+struct TuneJob
+{
+    TuneRequest request;
+    TuneReply reply;
+};
+
+/**
+ * The contract: submitBatch() is the one entry point. It calls every
+ * job's reply exactly once, and answers every request as if it had
+ * been submitted alone, except that identical requests (equal
  * TuneRequest::cacheKey()) in flight together may share one
  * computation, and then every waiter after the first gets the answer
  * with `coalesced` set. Implementations may exploit the batching
- * (shared model fetches, one scheduling unit). submit() is a batch of
- * one; an override must keep it that.
+ * (shared model fetches, one scheduling unit). A submitBatch() that
+ * throws has called no reply and will call none.
  */
 class TuningBackend
 {
@@ -38,16 +58,26 @@ class TuningBackend
 
     /** Serve several requests that arrived together (e.g. frames
      *  drained from one connection in one readiness cycle). */
-    virtual std::vector<std::future<TuneResponse>>
-    submitBatch(std::vector<TuneRequest> batch) = 0;
+    virtual void submitBatch(std::vector<TuneJob> batch) = 0;
 
-    /** Serve one request; the future resolves when it is answered. */
-    virtual std::future<TuneResponse>
+    /** Serve one request (a batch of one); the future resolves when
+     *  it is answered. */
+    std::future<TuneResponse>
     submit(TuneRequest request)
     {
-        std::vector<TuneRequest> batch;
-        batch.push_back(std::move(request));
-        return std::move(submitBatch(std::move(batch)).front());
+        auto promise = std::make_shared<std::promise<TuneResponse>>();
+        std::future<TuneResponse> answer = promise->get_future();
+        std::vector<TuneJob> batch;
+        batch.push_back(
+            {std::move(request),
+             [promise](TuneResponse response, std::exception_ptr error) {
+                 if (error)
+                     promise->set_exception(error);
+                 else
+                     promise->set_value(std::move(response));
+             }});
+        submitBatch(std::move(batch));
+        return answer;
     }
 };
 

@@ -1,5 +1,6 @@
 #include "service/model_cache.h"
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <iomanip>
@@ -229,7 +230,7 @@ ModelCache::snapshotTo(const std::string &dir) const
 }
 
 ModelCache::SnapshotIo
-ModelCache::restoreFrom(const std::string &dir)
+ModelCache::restoreFrom(const std::string &dir, size_t width)
 {
     SnapshotIo io;
     for (const std::string &name :
@@ -257,6 +258,23 @@ ModelCache::restoreFrom(const std::string &dir)
         }
 
         persist::ModelSnapshot &snap = result.snapshot;
+        // The key's searches score `width` values plus dsize through
+        // the compiled form and seed from `width`-wide vectors. A file
+        // that does not fit would fail every request for the key, and
+        // the key would never be rebuilt; skipped, its first request
+        // rebuilds it.
+        const bool fits =
+            snap.compiled && snap.compiled->minFeatureCount() <= width + 1 &&
+            std::all_of(snap.vectors.begin(), snap.vectors.end(),
+                        [width](const core::PerfVector &vector) {
+                            return vector.config.size() == width;
+                        });
+        if (!fits) {
+            ++io.failed;
+            warn("skipped snapshot " + name + ": does not fit " +
+                 std::to_string(width) + " configuration values");
+            continue;
+        }
         ModelKey key{snap.workload, snap.cluster, snap.sizeBand};
         auto entry = std::make_shared<CachedModel>();
         entry->model = snap.model;

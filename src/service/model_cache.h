@@ -200,9 +200,13 @@ class ModelCache
      * older format version are DELETED (stale eviction: models are
      * reproducible, migration is not worth carrying); files that are
      * corrupt or unreadable are skipped with a warning and counted in
-     * `failed`. A missing directory is simply an empty restore.
+     * `failed`, and so are files that do not fit the searches their
+     * key runs over `width` configuration values: no compiled form, a
+     * split reading past the `width` values plus the dsize column, or
+     * a training vector not `width` wide. A missing directory is
+     * simply an empty restore.
      */
-    SnapshotIo restoreFrom(const std::string &dir);
+    SnapshotIo restoreFrom(const std::string &dir, size_t width);
 
   private:
     using Entry = std::pair<ModelKey, std::shared_ptr<const CachedModel>>;

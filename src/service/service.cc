@@ -137,8 +137,8 @@ TuningService::TuningService(const sparksim::SparkSimulator &sim,
             std::string("phase.") + phaseName(static_cast<Phase>(i)));
     }
     if (!this->options.snapshotDir.empty()) {
-        const ModelCache::SnapshotIo io =
-            cache.restoreFrom(this->options.snapshotDir);
+        const ModelCache::SnapshotIo io = cache.restoreFrom(
+            this->options.snapshotDir, conf::ConfigSpace::spark().size());
         registry.counter("snapshot.restored")
             .increment(static_cast<uint64_t>(io.loaded));
         registry.counter("snapshot.stale_evicted")
@@ -159,22 +159,20 @@ TuningService::~TuningService()
     shutdown();
 }
 
-std::vector<std::future<TuneResponse>>
-TuningService::submitBatch(std::vector<TuneRequest> batch)
+void
+TuningService::submitBatch(std::vector<TuneJob> batch)
 {
     std::vector<std::string> keys;
     keys.reserve(batch.size());
-    for (const TuneRequest &request : batch) {
-        keys.push_back(request.cacheKey());
-        obs::FlightRecorder::record(request.wireId,
+    for (const TuneJob &job : batch) {
+        keys.push_back(job.request.cacheKey());
+        obs::FlightRecorder::record(job.request.wireId,
                                     obs::FlightPhase::QueueEnter);
     }
 
     // Each request joins the entry of an identical one in flight or
     // opens its own; the entries this call opens, with their keys, run
     // in batch order as one pool task.
-    std::vector<std::future<TuneResponse>> futures;
-    futures.reserve(batch.size());
     auto opened =
         std::make_shared<std::vector<std::pair<std::string, TuneRequest>>>();
     const auto submitted = std::chrono::steady_clock::now();
@@ -187,10 +185,10 @@ TuningService::submitBatch(std::vector<TuneRequest> batch)
             if (!entry) {
                 entry = std::make_shared<Pending>();
                 entry->submitted = submitted;
-                opened->emplace_back(std::move(keys[i]), std::move(batch[i]));
+                opened->emplace_back(std::move(keys[i]),
+                                     std::move(batch[i].request));
             }
-            entry->waiters.emplace_back();
-            futures.push_back(entry->waiters.back().get_future());
+            entry->waiters.push_back(std::move(batch[i].reply));
         }
     }
     registry.counter("requests.submitted").increment(batch.size());
@@ -203,7 +201,7 @@ TuningService::submitBatch(std::vector<TuneRequest> batch)
             .increment(batch.size() - opened->size());
     }
     if (opened->empty())
-        return futures;
+        return;
 
     const bool posted = pool.tryPost([this, opened, submitted]() {
         for (const auto &[key, request] : *opened) {
@@ -228,7 +226,6 @@ TuningService::submitBatch(std::vector<TuneRequest> batch)
                   nullptr, Outcome::Rejected);
         }
     }
-    return futures;
 }
 
 void
@@ -261,13 +258,13 @@ TuningService::close(const std::string &key, const TuneResponse &answer,
     }
     for (size_t i = 0; i < waiters; ++i) {
         if (error) {
-            entry->waiters[i].set_exception(error);
+            entry->waiters[i](TuneResponse{}, error);
             continue;
         }
         TuneResponse copy = answer;
         copy.coalesced = i > 0;
         copy.latencySec = latency;
-        entry->waiters[i].set_value(std::move(copy));
+        entry->waiters[i](std::move(copy), nullptr);
     }
 }
 

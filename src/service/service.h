@@ -1,7 +1,7 @@
 /**
  * @file
  * The concurrent tuning service: DAC's collect -> model -> search
- * pipeline behind an asynchronous submit() API.
+ * pipeline behind an asynchronous submitBatch() API.
  *
  * A TuningService owns a ThreadPool, a ModelCache, and a
  * MetricsRegistry. Each submitted request runs on the pool; the
@@ -21,7 +21,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -131,13 +130,14 @@ class TuningService final : public TuningBackend
      * waiter after the first gets the answer with `coalesced` set.
      * The entries a call opens run in batch order as one pool task,
      * so a pipelined burst costs one queue slot and back-to-back keys
-     * hit the warm model. When the queue is full, those entries are
-     * answered inline with the expert configuration
+     * hit the warm model; a pool worker calls their replies. When the
+     * queue is full, those entries are answered inline, on the
+     * calling thread, with the expert configuration
      * ("queue-saturated") instead of blocking the caller. A request
-     * that faults (e.g. unknown workload) faults its futures.
+     * that faults (e.g. unknown workload) gets the error in its
+     * replies. After shutdown() it throws and calls no reply.
      */
-    std::vector<std::future<TuneResponse>>
-    submitBatch(std::vector<TuneRequest> batch) override;
+    void submitBatch(std::vector<TuneJob> batch) override;
 
     /**
      * Stop accepting requests, serve everything already submitted,
@@ -177,7 +177,7 @@ class TuningService final : public TuningBackend
     /** Requests waiting on one in-flight computation. */
     struct Pending
     {
-        std::vector<std::promise<TuneResponse>> waiters;
+        std::vector<TuneReply> waiters;
         std::chrono::steady_clock::time_point submitted;
     };
 
@@ -191,8 +191,8 @@ class TuningService final : public TuningBackend
     TuneResponse process(const TuneRequest &request,
                          std::chrono::steady_clock::time_point submitted);
     /** Close `key`'s pending entry: account for every waiter first (a
-     *  waiter may read the counters the instant its future resolves),
-     *  then fulfil each with `answer` (`coalesced` after the first) or
+     *  waiter may read the counters the instant it is answered), then
+     *  reply to each with `answer` (`coalesced` after the first) or
      *  with `error`. The only place an entry closes. */
     void close(const std::string &key, const TuneResponse &answer,
                std::exception_ptr error, Outcome outcome);

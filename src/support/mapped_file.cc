@@ -4,18 +4,12 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define DAC_HAVE_POSIX_IO 1
 #include <fcntl.h>
+#include <filesystem>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define DAC_HAVE_POSIX_IO 0
-#endif
+#include <utility>
 
 namespace dac {
 namespace {
@@ -65,10 +59,8 @@ MappedFile::operator=(MappedFile &&other) noexcept
 void
 MappedFile::close()
 {
-#if DAC_HAVE_POSIX_IO
     if (mapped && base != nullptr)
         ::munmap(const_cast<uint8_t *>(base), length);
-#endif
     base = nullptr;
     length = 0;
     mapped = false;
@@ -81,7 +73,6 @@ bool
 MappedFile::open(const std::string &path, std::string *error)
 {
     close();
-#if DAC_HAVE_POSIX_IO
     int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0) {
         setError(error, "open " + path);
@@ -132,42 +123,12 @@ MappedFile::open(const std::string &path, std::string *error)
     base = fallback.data();
     opened = true;
     return true;
-#else
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-        setError(error, "open " + path);
-        return false;
-    }
-    std::fseek(f, 0, SEEK_END);
-    long sz = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    if (sz < 0) {
-        setError(error, "size " + path);
-        std::fclose(f);
-        return false;
-    }
-    fallback.resize(static_cast<size_t>(sz));
-    if (sz > 0 &&
-        std::fread(fallback.data(), 1, fallback.size(), f) !=
-            fallback.size()) {
-        setError(error, "read " + path);
-        std::fclose(f);
-        close();
-        return false;
-    }
-    std::fclose(f);
-    length = fallback.size();
-    base = fallback.empty() ? nullptr : fallback.data();
-    opened = true;
-    return true;
-#endif
 }
 
 bool
 atomicWriteFile(const std::string &path, const void *data, size_t len,
                 std::string *error)
 {
-#if DAC_HAVE_POSIX_IO
     // The temp file must live in the destination's directory: rename
     // is only atomic within one filesystem.
     std::string tmp = path + ".tmp." + std::to_string(::getpid());
@@ -216,30 +177,6 @@ atomicWriteFile(const std::string &path, const void *data, size_t len,
         ::close(dfd);
     }
     return true;
-#else
-    std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr) {
-        setError(error, "create " + tmp);
-        return false;
-    }
-    if (len > 0 && std::fwrite(data, 1, len, f) != len) {
-        setError(error, "write " + tmp);
-        std::fclose(f);
-        std::remove(tmp.c_str());
-        return false;
-    }
-    std::fclose(f);
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        if (error != nullptr)
-            *error = "rename " + tmp + " -> " + path + ": " + ec.message();
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
-#endif
 }
 
 std::vector<std::string>

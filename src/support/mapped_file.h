@@ -2,11 +2,12 @@
  * @file
  * File I/O primitives for the snapshot subsystem.
  *
- * Three pieces, all POSIX-backed with portable fallbacks:
+ * Three pieces, all on POSIX calls (the project builds on Linux
+ * only):
  *
- *  - MappedFile: read-only whole-file access, mmap'd when the platform
- *    allows (snapshot loads parse straight out of the page cache with
- *    no copy) and falling back to a plain read() into a buffer. The
+ *  - MappedFile: read-only whole-file access, mmap'd (snapshot loads
+ *    parse straight out of the page cache with no copy), falling back
+ *    to pread() into a buffer where the filesystem refuses mmap. The
  *    PetPS shm_file idiom, reduced to the read side we need.
  *
  *  - atomicWriteFile(): the write side of crash consistency. Bytes go

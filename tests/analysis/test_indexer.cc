@@ -227,7 +227,7 @@ TEST(Indexer, NamedLambdaRetargetedByLaterPost)
         "server.cc",
         "void Connection::flush() {\n"
         "    auto task = [this] { slowWrite(); };\n"
-        "    replyPool->post(std::move(task));\n"
+        "    pool->post(std::move(task));\n"
         "}\n");
     const FunctionSummary *lam =
         findFn(s, "Connection::flush::lambda@2");

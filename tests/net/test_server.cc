@@ -2,8 +2,10 @@
  * @file
  * Tests for the wire server: echo traffic over a stub backend (both
  * readiness backends), wire-level batching, malformed-stream teardown,
- * per-frame error replies, concurrent connections, and byte-identity
- * of wire answers against the in-process TuningService.
+ * per-frame error replies, concurrent connections, the reply path
+ * (backend faults, a throwing backend, stop() with a request in
+ * flight), and byte-identity of wire answers against the in-process
+ * TuningService.
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +13,12 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
+#include <condition_variable>
 #include <future>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -28,35 +34,33 @@
 namespace dac::net {
 namespace {
 
+/** The backend doubles' answer: predictedTimeSec = 2 * nativeSize,
+ *  plus one typed warning. */
+service::TuneResponse
+stubAnswer(const service::TuneRequest &request)
+{
+    service::TuneResponse response;
+    response.workload = request.workload;
+    response.nativeSize = request.nativeSize;
+    response.predictedTimeSec = request.nativeSize * 2.0;
+    response.warnings.push_back({"stub-rule", "stub finding"});
+    return response;
+}
+
 /**
- * Backend double: answers instantly with a response derived from the
- * request (predictedTimeSec = 2 * nativeSize) and records the batch
- * sizes the server actually submitted.
+ * Backend double: answers instantly, on the submitting thread, with
+ * stubAnswer() and records the batch sizes the server actually
+ * submitted.
  */
 class StubBackend final : public service::TuningBackend
 {
   public:
-    std::future<service::TuneResponse>
-    submit(service::TuneRequest request) override
-    {
-        recordBatch(1);
-        std::promise<service::TuneResponse> promise;
-        promise.set_value(answer(request));
-        return promise.get_future();
-    }
-
-    std::vector<std::future<service::TuneResponse>>
-    submitBatch(std::vector<service::TuneRequest> batch) override
+    void
+    submitBatch(std::vector<service::TuneJob> batch) override
     {
         recordBatch(batch.size());
-        std::vector<std::future<service::TuneResponse>> futures;
-        futures.reserve(batch.size());
-        for (const auto &request : batch) {
-            std::promise<service::TuneResponse> promise;
-            promise.set_value(answer(request));
-            futures.push_back(promise.get_future());
-        }
-        return futures;
+        for (service::TuneJob &job : batch)
+            job.reply(stubAnswer(job.request), nullptr);
     }
 
     std::vector<size_t>
@@ -77,17 +81,6 @@ class StubBackend final : public service::TuningBackend
     }
 
   private:
-    static service::TuneResponse
-    answer(const service::TuneRequest &request)
-    {
-        service::TuneResponse response;
-        response.workload = request.workload;
-        response.nativeSize = request.nativeSize;
-        response.predictedTimeSec = request.nativeSize * 2.0;
-        response.warnings.push_back({"stub-rule", "stub finding"});
-        return response;
-    }
-
     void
     recordBatch(size_t n)
     {
@@ -97,6 +90,67 @@ class StubBackend final : public service::TuningBackend
 
     std::mutex mutex;
     std::vector<size_t> sizes;
+};
+
+/**
+ * Backend double that keeps every request for workload "HOLD"
+ * unanswered until releaseHeld() and answers the rest at once; every
+ * answer is stubAnswer().
+ */
+class HoldingBackend final : public service::TuningBackend
+{
+  public:
+    void
+    submitBatch(std::vector<service::TuneJob> batch) override
+    {
+        for (service::TuneJob &job : batch) {
+            if (job.request.workload != "HOLD") {
+                job.reply(stubAnswer(job.request), nullptr);
+                continue;
+            }
+            std::lock_guard<std::mutex> lock(mutex);
+            held.push_back(std::move(job));
+            heldChanged.notify_all();
+        }
+    }
+
+    /** Wait (up to 10 s) until `n` requests are held. */
+    [[nodiscard]] bool
+    awaitHeld(size_t n)
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        return heldChanged.wait_for(lock, std::chrono::seconds(10),
+                                    [&] { return held.size() >= n; });
+    }
+
+    /** Answer every held request, on the calling thread. */
+    void
+    releaseHeld()
+    {
+        std::vector<service::TuneJob> jobs;
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            jobs.swap(held);
+        }
+        for (service::TuneJob &job : jobs)
+            job.reply(stubAnswer(job.request), nullptr);
+    }
+
+  private:
+    std::mutex mutex;
+    std::condition_variable heldChanged;
+    std::vector<service::TuneJob> held;
+};
+
+/** Backend double whose submitBatch always throws. */
+class ThrowingBackend final : public service::TuningBackend
+{
+  public:
+    void
+    submitBatch(std::vector<service::TuneJob> /*batch*/) override
+    {
+        throw std::runtime_error("backend unavailable");
+    }
 };
 
 service::TuneRequest
@@ -165,7 +219,7 @@ TEST(TuningServer, PipelinedFramesFormOneBatch)
 }
 
 /**
- * A batch's replies leave in one send, and that send is every item's
+ * Each batch item's reply leaves in its own send, and that send is its
  * write phase: each request gets its own phase.write observation and
  * its own write flight record, as it does for serialize.
  */
@@ -343,6 +397,74 @@ TEST(TuningServer, StopWithOpenConnectionsIsClean)
     client.ping();
     // Stop with the client still connected; must not hang or crash.
     server.stop();
+}
+
+/**
+ * stop() waits for the requests already handed to the backend: one
+ * still in flight keeps it waiting and is answered before the loops
+ * stop, while a request arriving after stop() began is answered
+ * "server stopping" at once.
+ */
+TEST(TuningServer, StopAnswersInFlightRequestsAndRefusesLaterOnes)
+{
+    HoldingBackend backend;
+    TuningServer server(backend, ServerOptions{});
+    server.start();
+
+    Client first("127.0.0.1", server.port());
+    auto firstAnswer = std::async(std::launch::async, [&first] {
+        return first.request(makeRequest("HOLD", 40.0));
+    });
+    ASSERT_TRUE(backend.awaitHeld(1));
+    Client later("127.0.0.1", server.port());
+    later.ping(); // adopted before stop() drops the listener
+
+    std::atomic<bool> stopReturned{false};
+    std::thread stopper([&] {
+        server.stop();
+        stopReturned.store(true);
+    });
+    // Until stop() begins, the backend answers these at once.
+    std::string refusal;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (refusal.empty() && std::chrono::steady_clock::now() < deadline) {
+        try {
+            (void)later.request(makeRequest("TS", 5.0));
+        } catch (const RpcError &e) {
+            refusal = e.what();
+        }
+    }
+    EXPECT_EQ(refusal, "server stopping");
+    EXPECT_EQ(server.stats().repliesDegraded, 1u);
+    EXPECT_FALSE(stopReturned.load()) << "stop() left a request behind";
+
+    backend.releaseHeld();
+    stopper.join();
+    const service::TuneResponse answer = firstAnswer.get();
+    EXPECT_EQ(answer.workload, "HOLD");
+    EXPECT_EQ(answer.predictedTimeSec, 80.0);
+    EXPECT_EQ(server.stats().repliesDegraded, 1u);
+}
+
+/**
+ * A backend that throws from submitBatch answers none of the batch:
+ * the server closes that connection instead of leaving its request
+ * waiting, keeps serving others, and stop() does not wait for the
+ * request it released.
+ */
+TEST(TuningServer, ThrowingBackendClosesTheConnectionAndStopReturns)
+{
+    ThrowingBackend backend;
+    TuningServer server(backend, ServerOptions{});
+    server.start();
+
+    Client client("127.0.0.1", server.port());
+    EXPECT_THROW((void)client.request(makeRequest("TS", 40.0)), RpcError);
+    Client other("127.0.0.1", server.port());
+    other.ping();
+    server.stop();
+    EXPECT_EQ(server.stats().requestsSubmitted, 1u);
 }
 
 /**
@@ -634,6 +756,48 @@ phaseCounts(obs::MetricsRegistry &metrics)
                 .count());
     }
     return counts;
+}
+
+/**
+ * A request the backend fails (an unknown workload) comes back as an
+ * Error frame naming the fault and counts one RED error on its loop;
+ * the connection goes on serving.
+ */
+TEST(TuningServer, BackendFaultIsAnErrorFrameAndKeepsTheConnection)
+{
+    sparksim::SparkSimulator sim(cluster::ClusterSpec::paperTestbed());
+    service::TuningService service(sim, tinyServiceOptions());
+    ServerOptions options;
+    options.metrics = &service.metrics();
+    TuningServer server(service, options);
+    server.start();
+
+    Client client("127.0.0.1", server.port());
+    std::string fault;
+    try {
+        (void)client.request(makeRequest("XX", 40.0));
+    } catch (const RpcError &e) {
+        fault = e.what();
+    }
+    EXPECT_NE(fault.find("unknown workload: XX"), std::string::npos)
+        << "fault: '" << fault << "'";
+    const auto answer = client.request(makeRequest("TS", 40.0));
+    EXPECT_EQ(answer.workload, "TS");
+    EXPECT_FALSE(answer.degraded);
+    client.close();
+    server.stop();
+
+    uint64_t errors = 0;
+    uint64_t requests = 0;
+    for (const char *loop : {"net.loop0", "net.loop1"}) {
+        errors += service.metrics().counterValue(std::string(loop) +
+                                                 ".errors");
+        requests += service.metrics().counterValue(std::string(loop) +
+                                                   ".requests");
+    }
+    EXPECT_EQ(errors, 1u);
+    EXPECT_EQ(requests, 2u);
+    EXPECT_EQ(server.stats().protocolErrors, 0u);
 }
 
 const std::vector<service::Phase> kWarmPhases = {

@@ -5,6 +5,7 @@
 #include <bit>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -64,6 +65,28 @@ expectSameAnswer(const TuneResponse &a, const TuneResponse &b)
         EXPECT_EQ(std::bit_cast<uint64_t>(a.phases[i].sec),
                   std::bit_cast<uint64_t>(b.phases[i].sec));
     }
+}
+
+/** submitBatch with one promise per request; futures in batch order. */
+std::vector<std::future<TuneResponse>>
+submitAll(TuningBackend &backend, const std::vector<TuneRequest> &requests)
+{
+    std::vector<std::future<TuneResponse>> futures;
+    std::vector<TuneJob> batch;
+    for (const TuneRequest &request : requests) {
+        auto promise = std::make_shared<std::promise<TuneResponse>>();
+        futures.push_back(promise->get_future());
+        batch.push_back(
+            {request, [promise](TuneResponse response,
+                                std::exception_ptr error) {
+                 if (error)
+                     promise->set_exception(error);
+                 else
+                     promise->set_value(std::move(response));
+             }});
+    }
+    backend.submitBatch(std::move(batch));
+    return futures;
 }
 
 TEST(TuningService, ServesAValidConfiguration)
@@ -202,7 +225,7 @@ TEST(TuningService, BatchSearchesInBatchDuplicatesOnce)
     batch.push_back(request("TS", 40, 18));
     batch.push_back(request("TS", 40));
     batch.push_back(request("TS", 40));
-    auto futures = service.submitBatch(batch);
+    auto futures = submitAll(service, batch);
     ASSERT_EQ(futures.size(), 4u);
     std::vector<TuneResponse> responses;
     for (auto &f : futures)
@@ -239,7 +262,7 @@ TEST(TuningService, BatchItemJoinsAnInFlightSubmit)
     std::vector<TuneRequest> batch;
     batch.push_back(request("TS", 40));
     batch.push_back(request("WC", 80));
-    auto futures = service.submitBatch(batch);
+    auto futures = submitAll(service, batch);
     ASSERT_EQ(futures.size(), 2u);
 
     const TuneResponse original = first.get();

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "conf/config.h"
+#include "conf/space.h"
 #include "ml/boosting.h"
 #include "ml/flat_ensemble.h"
 #include "persist/snapshot.h"
@@ -97,7 +99,7 @@ TEST_F(SnapshotCacheTest, SnapshotThenRestoreRoundTrips)
     EXPECT_EQ(saved.failed, 0u);
 
     ModelCache fresh(8);
-    const auto restored = fresh.restoreFrom(dir);
+    const auto restored = fresh.restoreFrom(dir, 2);
     EXPECT_EQ(restored.loaded, 2u);
     EXPECT_EQ(restored.staleEvicted, 0u);
     EXPECT_EQ(restored.failed, 0u);
@@ -163,7 +165,7 @@ TEST_F(SnapshotCacheTest, StaleVersionFilesAreDeletedOnRestore)
     ASSERT_TRUE(atomicWriteFile(path, image.data(), image.size()));
 
     ModelCache fresh(4);
-    const auto io = fresh.restoreFrom(dir);
+    const auto io = fresh.restoreFrom(dir, 2);
     EXPECT_EQ(io.loaded, 0u);
     EXPECT_EQ(io.staleEvicted, 1u);
     EXPECT_EQ(io.failed, 0u);
@@ -181,7 +183,7 @@ TEST_F(SnapshotCacheTest, CorruptFilesAreSkippedNotDeleted)
     ASSERT_TRUE(atomicWriteFile(path, junk.data(), junk.size()));
 
     ModelCache cache(4);
-    const auto io = cache.restoreFrom(dir);
+    const auto io = cache.restoreFrom(dir, 2);
     EXPECT_EQ(io.loaded, 0u);
     EXPECT_EQ(io.failed, 1u);
     EXPECT_EQ(cache.size(), 0u);
@@ -190,30 +192,33 @@ TEST_F(SnapshotCacheTest, CorruptFilesAreSkippedNotDeleted)
               1u);
 }
 
-TEST_F(SnapshotCacheTest, UncompilableFileIsSkippedAndItsKeyRebuilt)
+/** The key a TS request at size 40 maps to in a service over `sim`. */
+ModelKey
+tsKey(const sparksim::SparkSimulator &sim)
 {
-    // A checksum-valid snapshot of a booster with no trees, filed
-    // under the key a TS request at size 40 maps to. compile() asserts
-    // on such a model, so the decoder must type the file Corrupt.
-    const sparksim::SparkSimulator sim(
-        cluster::ClusterSpec::paperTestbed());
-    const ModelKey tsKey{"TS", sim.clusterSpec().signature(),
-                         sizeBandOf(40)};
-    CachedModel empty;
-    empty.model = std::make_shared<ml::GradientBoost>(ml::BoostParams{});
-    ASSERT_TRUE(ModelCache::writeSnapshot(dir, tsKey, empty));
-    const std::string path =
-        dir + "/" + ModelCache::snapshotFileName(tsKey);
+    return ModelKey{"TS", sim.clusterSpec().signature(), sizeBandOf(40)};
+}
 
+/**
+ * Restore `dir`, which holds one bad file for tsKey(), and expect it
+ * skipped but kept; then expect a service restoring the same
+ * directory to start, build the key on its first request and answer
+ * it, persisting the build over the bad file.
+ */
+void
+expectSkippedThenRebuilt(const sparksim::SparkSimulator &sim,
+                         const std::string &dir)
+{
+    const size_t width = conf::ConfigSpace::spark().size();
+    const std::string path =
+        dir + "/" + ModelCache::snapshotFileName(tsKey(sim));
     ModelCache cache(4);
-    const auto io = cache.restoreFrom(dir);
+    const auto io = cache.restoreFrom(dir, width);
     EXPECT_EQ(io.loaded, 0u);
     EXPECT_EQ(io.failed, 1u);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_TRUE(std::filesystem::exists(path));
 
-    // A service restoring the same directory starts, builds the key
-    // on its first request and answers it.
     ServiceOptions options;
     options.threads = 2;
     options.modelCacheCapacity = 4;
@@ -231,14 +236,76 @@ TEST_F(SnapshotCacheTest, UncompilableFileIsSkippedAndItsKeyRebuilt)
     const TuneResponse answer = service.submit(request).get();
     EXPECT_FALSE(answer.modelCacheHit);
     EXPECT_FALSE(answer.degraded);
-    // The build persisted over the bad file.
     EXPECT_TRUE(persist::loadSnapshotFile(path).ok());
+}
+
+TEST_F(SnapshotCacheTest, UncompilableFileIsSkippedAndItsKeyRebuilt)
+{
+    // A checksum-valid snapshot of a booster with no trees, filed
+    // under the key a TS request at size 40 maps to. compile() asserts
+    // on such a model, so the decoder must type the file Corrupt.
+    const sparksim::SparkSimulator sim(
+        cluster::ClusterSpec::paperTestbed());
+    CachedModel empty;
+    empty.model = std::make_shared<ml::GradientBoost>(ml::BoostParams{});
+    ASSERT_TRUE(ModelCache::writeSnapshot(dir, tsKey(sim), empty));
+    expectSkippedThenRebuilt(sim, dir);
+}
+
+/**
+ * A snapshot that decodes but whose one split reads feature 500, far
+ * past the Spark space plus dsize: restored, every TS/40 search would
+ * fail ("row stride too short") and the key would never be rebuilt.
+ */
+TEST_F(SnapshotCacheTest, SplitPastTheConfigurationWidthIsSkipped)
+{
+    const sparksim::SparkSimulator sim(
+        cluster::ClusterSpec::paperTestbed());
+    constexpr size_t kFeatures = 501;
+    ml::DataSet data(kFeatures);
+    for (int i = 0; i < 16; ++i) {
+        std::vector<double> x(kFeatures, 0.0);
+        x[kFeatures - 1] = i;
+        data.addRow(x, i < 8 ? 10.0 : 20.0);
+    }
+    ml::BoostParams params;
+    params.maxTrees = 1;
+    params.convergencePatience = 0;
+    params.targetErrorPct = 0.0;
+    auto model = std::make_shared<ml::GradientBoost>(params);
+    model->train(data);
+
+    CachedModel entry;
+    entry.compiled =
+        std::shared_ptr<const ml::FlatEnsemble>(model->compile());
+    ASSERT_EQ(entry.compiled->minFeatureCount(), kFeatures);
+    entry.model = std::move(model);
+    const conf::Configuration defaults(conf::ConfigSpace::spark());
+    entry.vectors.push_back({5.0, defaults.values(), 1e9});
+    ASSERT_TRUE(ModelCache::writeSnapshot(dir, tsKey(sim), entry));
+    expectSkippedThenRebuilt(sim, dir);
+}
+
+/**
+ * A snapshot whose model fits but whose training vectors are 3 wide:
+ * restored, every TS/40 search would fail seeding its population
+ * (Configuration's width assert).
+ */
+TEST_F(SnapshotCacheTest, WrongWidthTrainingVectorIsSkipped)
+{
+    const sparksim::SparkSimulator sim(
+        cluster::ClusterSpec::paperTestbed());
+    CachedModel entry = *trainedEntry(14, 5.0);
+    for (auto &vector : entry.vectors)
+        vector.config.push_back(0.5);
+    ASSERT_TRUE(ModelCache::writeSnapshot(dir, tsKey(sim), entry));
+    expectSkippedThenRebuilt(sim, dir);
 }
 
 TEST_F(SnapshotCacheTest, RestoreFromMissingDirectoryIsEmpty)
 {
     ModelCache cache(4);
-    const auto io = cache.restoreFrom(dir + "/never-created");
+    const auto io = cache.restoreFrom(dir + "/never-created", 2);
     EXPECT_EQ(io.loaded, 0u);
     EXPECT_EQ(io.staleEvicted, 0u);
     EXPECT_EQ(io.failed, 0u);
